@@ -164,10 +164,11 @@ fn run_shape(shape: Shape) -> Vec<RankRun> {
         }
         let cached_final = ctx
             .with_cached("pr", |kvc| {
-                let mut kvs: Vec<(u64, u64)> = kvc
-                    .iter()
-                    .map(|(k, v)| (typed::dec_u64(k), typed::dec_u64(v)))
-                    .collect();
+                let mut kvs: Vec<(u64, u64)> = Vec::new();
+                kvc.for_each_kv(|k, v| {
+                    kvs.push((typed::dec_u64(k), typed::dec_u64(v)));
+                    Ok(())
+                })?;
                 kvs.sort_unstable();
                 Ok(kvs)
             })

@@ -77,12 +77,14 @@ fn shuffle_body(
     // Order-independent content checksum of everything this rank
     // received: sums a mix of each KV's key bytes.
     let mut checksum = 0u64;
-    for (k, _v) in sink.iter() {
+    sink.for_each_kv(|k, _v| {
         let mut x = u64::from_le_bytes(k.try_into().expect("8-byte key"));
         x ^= x >> 33;
         x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
         checksum = checksum.wrapping_add(x);
-    }
+        Ok(())
+    })
+    .unwrap();
     (elapsed, stats.rounds, comm.stats(), checksum)
 }
 

@@ -357,14 +357,16 @@ mod tests {
     }
 
     fn collect(kvc: &KvContainer) -> Vec<(u64, u64)> {
-        kvc.iter()
-            .map(|(k, v)| {
-                (
-                    u64::from_le_bytes(k.try_into().unwrap()),
-                    u64::from_le_bytes(v.try_into().unwrap()),
-                )
-            })
-            .collect()
+        let mut out = Vec::new();
+        kvc.for_each_kv(|k, v| {
+            out.push((
+                u64::from_le_bytes(k.try_into().unwrap()),
+                u64::from_le_bytes(v.try_into().unwrap()),
+            ));
+            Ok(())
+        })
+        .unwrap();
+        out
     }
 
     #[test]

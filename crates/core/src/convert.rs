@@ -204,7 +204,7 @@ fn convert_arena(kvc: KvContainer, pool: &MemPool) -> Result<(KmvContainer, Grou
     // 4 bytes per KV, charged up front (the KV count is known).
     side.add(kvc.len() as usize * std::mem::size_of::<u32>())?;
     let mut kv_group: Vec<u32> = Vec::with_capacity(kvc.len() as usize);
-    for (k, v) in kvc.iter() {
+    kvc.for_each_kv(|k, v| {
         let (idx, fresh) = index.insert_hashed(fxhash64(k), k)?;
         if fresh {
             side.add(std::mem::size_of::<GroupInfo>())?;
@@ -214,7 +214,8 @@ fn convert_arena(kvc: KvContainer, pool: &MemPool) -> Result<(KmvContainer, Grou
         g.count += 1;
         g.val_bytes += val_stored_len(meta.val, v);
         kv_group.push(idx);
-    }
+        Ok(())
+    })?;
     side.settle()?;
 
     // --- Layout: place every entry in pages or jumbo buffers. ---------
@@ -226,7 +227,7 @@ fn convert_arena(kvc: KvContainer, pool: &MemPool) -> Result<(KmvContainer, Grou
     kvc.drain(|k, v| {
         let idx = kv_group[kv_i] as usize;
         kv_i += 1;
-        debug_assert_eq!(index.key(idx as u32), k, "drain order matches iter order");
+        debug_assert_eq!(index.key(idx as u32), k, "drain order matches pass-1 order");
         let _ = k;
         let loc = layout.locs[idx];
         let buf = entry_buf(&mut layout.pages, &mut layout.jumbos, loc);
@@ -262,7 +263,7 @@ fn convert_legacy(kvc: KvContainer, pool: &MemPool) -> Result<(KmvContainer, Gro
     let mut side = DeltaCharge::new(pool)?;
     let mut index: HashMap<Vec<u8>, u32, FxBuild> = HashMap::default();
     let mut groups: Vec<GroupInfo> = Vec::new();
-    for (k, v) in kvc.iter() {
+    kvc.for_each_kv(|k, v| {
         let idx = match index.get(k) {
             Some(&i) => i,
             None => {
@@ -276,7 +277,8 @@ fn convert_legacy(kvc: KvContainer, pool: &MemPool) -> Result<(KmvContainer, Gro
         let g = &mut groups[idx as usize];
         g.count += 1;
         g.val_bytes += val_stored_len(meta.val, v);
-    }
+        Ok(())
+    })?;
     side.settle()?;
 
     // --- Layout: place every entry in pages or jumbo buffers. ---------

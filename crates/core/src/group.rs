@@ -136,7 +136,8 @@ pub const PROBE_HIST_BUCKETS: usize = 8;
 /// combiner's repeated flushes accumulate rather than reset.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GroupStats {
-    /// Keys looked up or inserted (one per KV routed through the table).
+    /// Keys looked up or inserted (one per KV routed through the table);
+    /// always the sum of `probe_hist`.
     pub inserts: u64,
     /// Total probe steps beyond the home slot across all inserts.
     pub probes: u64,
@@ -406,18 +407,27 @@ impl GroupIndex {
         self.charge.settle()
     }
 
-    /// A snapshot of the table's counters.
+    /// A snapshot of the table's counters. `inserts` is not counted on
+    /// the hot path: every insert lands in exactly one histogram bucket,
+    /// so it is the histogram's sum.
     pub fn stats(&self) -> GroupStats {
         GroupStats {
+            inserts: self.stats.probe_hist.iter().sum(),
             groups: self.stats.groups + self.entries.len() as u64,
             capacity: self.slots.len() as u64,
             ..self.stats
         }
     }
 
+    /// Records one insert's probe length. The common zero-probe case
+    /// (home slot hit) changes neither `probes` nor `max_probe`, so it
+    /// touches only the first histogram bucket.
     #[inline]
     fn note_probe(&mut self, probe: u64) {
-        self.stats.inserts += 1;
+        if probe == 0 {
+            self.stats.probe_hist[0] += 1;
+            return;
+        }
         self.stats.probes += probe;
         self.stats.max_probe = self.stats.max_probe.max(probe);
         self.stats.probe_hist[GroupStats::probe_bucket(probe)] += 1;

@@ -16,6 +16,13 @@ use std::hash::{BuildHasherDefault, Hasher};
 const SEED: u64 = 0x51_7C_C1_B7_27_22_0A_95;
 
 /// Fx-style hash of a byte string.
+///
+/// Whole 8-byte words fold in one by one. A 1–7 byte tail folds in as
+/// one more word: the tail bytes little-endian in the low bytes, zero
+/// padding, and the tail length in the top byte (so `"a"` and `"a\0"`
+/// differ). The output is part of the data layout — it routes every KV
+/// to its rank and every cached dataset to its placement — so it must
+/// never change; the tests pin it against a reference implementation.
 #[inline]
 pub fn fxhash64(bytes: &[u8]) -> u64 {
     let mut h = 0u64;
@@ -24,12 +31,9 @@ pub fn fxhash64(bytes: &[u8]) -> u64 {
         let w = u64::from_le_bytes(c.try_into().expect("8-byte chunk"));
         h = (h.rotate_left(5) ^ w).wrapping_mul(SEED);
     }
-    let rem = chunks.remainder();
-    if !rem.is_empty() {
-        let mut tail = [0u8; 8];
-        tail[..rem.len()].copy_from_slice(rem);
-        tail[7] = rem.len() as u8; // length-distinguish short tails
-        let w = u64::from_le_bytes(tail);
+    let rem = chunks.remainder().len();
+    if rem != 0 {
+        let w = tail_word(bytes, rem) | (rem as u64) << 56;
         h = (h.rotate_left(5) ^ w).wrapping_mul(SEED);
     }
     // Murmur3 finalizer: full avalanche so every bit of the hash — the
@@ -40,6 +44,30 @@ pub fn fxhash64(bytes: &[u8]) -> u64 {
     h ^= h >> 33;
     h = h.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
     h ^ (h >> 33)
+}
+
+/// The last `rem` (1..=7) bytes of `bytes` as a little-endian word with
+/// zero high bytes, built from overlapping fixed-width loads rather than
+/// a variable-length copy: a key of 8+ bytes loads its last full word
+/// and shifts the consumed bytes out; a shorter key ORs two overlapping
+/// 4-byte (or three 1-byte) loads, where overlapping bytes land on the
+/// same bit positions and so OR to themselves.
+#[inline]
+fn tail_word(bytes: &[u8], rem: usize) -> u64 {
+    let n = bytes.len();
+    if n >= 8 {
+        let last = u64::from_le_bytes(bytes[n - 8..].try_into().expect("8-byte word"));
+        return last >> ((8 - rem) * 8);
+    }
+    if rem >= 4 {
+        let lo = u32::from_le_bytes(bytes[..4].try_into().expect("4-byte word"));
+        let hi = u32::from_le_bytes(bytes[n - 4..].try_into().expect("4-byte word"));
+        return u64::from(lo) | u64::from(hi) << ((rem - 4) * 8);
+    }
+    let mid = rem / 2;
+    u64::from(bytes[0])
+        | u64::from(bytes[mid]) << (mid * 8)
+        | u64::from(bytes[rem - 1]) << ((rem - 1) * 8)
 }
 
 /// Lemire multiply-shift fast range reduction: maps a uniform 64-bit
@@ -101,6 +129,78 @@ pub type FxBuild = BuildHasherDefault<FxHasher>;
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The original `fxhash64`, kept verbatim as the reference the
+    /// optimized tail must match bit for bit: its output decides shuffle
+    /// routing and cache placement.
+    fn fxhash64_reference(bytes: &[u8]) -> u64 {
+        let mut h = 0u64;
+        let mut chunks = bytes.chunks_exact(8);
+        for c in &mut chunks {
+            let w = u64::from_le_bytes(c.try_into().expect("8-byte chunk"));
+            h = (h.rotate_left(5) ^ w).wrapping_mul(SEED);
+        }
+        let rem = chunks.remainder();
+        if !rem.is_empty() {
+            let mut tail = [0u8; 8];
+            tail[..rem.len()].copy_from_slice(rem);
+            tail[7] = rem.len() as u8;
+            let w = u64::from_le_bytes(tail);
+            h = (h.rotate_left(5) ^ w).wrapping_mul(SEED);
+        }
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+        h ^ (h >> 33)
+    }
+
+    fn splitmix64(x: &mut u64) -> u64 {
+        *x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *x;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn matches_reference_on_every_length() {
+        let mut rng = 0x006D_696D_6972_u64;
+        for len in 0..=64usize {
+            // Constant fills catch a tail word that leaks or drops high
+            // bytes; random keys cover the rest.
+            let mut keys: Vec<Vec<u8>> = [0x00u8, 0x80, 0xFF].map(|b| vec![b; len]).to_vec();
+            keys.extend((0..2000).map(|_| (0..len).map(|_| splitmix64(&mut rng) as u8).collect()));
+            for key in &keys {
+                assert_eq!(fxhash64(key), fxhash64_reference(key), "key {key:?}");
+                // Subslices at odd offsets exercise unaligned loads.
+                if len > 1 {
+                    let sub = &key[1..];
+                    assert_eq!(fxhash64(sub), fxhash64_reference(sub), "key {sub:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn golden_values_are_stable() {
+        // Frozen outputs: a change here re-routes every partition and
+        // every cached dataset.
+        for (key, want) in [
+            (&b""[..], 0u64),
+            (b"a", 0x6B16_D05A_8091_CB5F),
+            (b"ab", 0xF1A8_9F89_D90A_3F2E),
+            (b"abc", 0xE1AF_D14F_FC85_5B42),
+            (b"mimir", 0x289C_F921_1C15_90CD),
+            (b"abcdefg", 0x88FA_CC41_87F9_BFA6),
+            (b"abcdefgh", 0xE6FF_FA19_1E72_013E),
+            (b"the quick brown fox", 0x83C5_3E10_D949_6ECF),
+            (b"supercalifragilisticexpialidocious", 0x21D9_5924_9ED7_155A),
+        ] {
+            assert_eq!(fxhash64(key), want, "key {key:?}");
+            assert_eq!(fxhash64_reference(key), want, "reference, key {key:?}");
+        }
+    }
 
     #[test]
     fn distinct_inputs_hash_differently() {

@@ -943,9 +943,7 @@ fn feed_chain<S: KvSink>(
             kvs: 0,
             bytes: 0,
         };
-        for (k, v) in input.iter() {
-            map(k, v, &mut em)?;
-        }
+        input.for_each_kv(|k, v| map(k, v, &mut em))?;
         let (kvs, bytes) = (em.kvs, em.bytes);
         mimir_obs::emit(EventKind::ShuffleElided, kvs, bytes);
         Ok((sink, ShuffleStats::default()))
@@ -960,9 +958,7 @@ fn feed_chain<S: KvSink>(
             mode,
             policy,
         )?;
-        for (k, v) in input.iter() {
-            map(k, v, &mut shuffler)?;
-        }
+        input.for_each_kv(|k, v| map(k, v, &mut shuffler))?;
         shuffler.finish()
     }
 }

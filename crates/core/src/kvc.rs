@@ -172,12 +172,21 @@ impl KvContainer {
         Ok(total)
     }
 
-    /// Iterates the KVs without consuming them (used by the first pass of
-    /// the two-pass convert).
-    pub fn iter(&self) -> impl Iterator<Item = (&[u8], &[u8])> {
-        self.pages
-            .iter()
-            .flat_map(move |p| KvDecoder::new(self.meta, p.as_slice()))
+    /// Visits every KV in order without consuming the container (the
+    /// first pass of the two-pass convert, chained maps over a cached
+    /// dataset). Iteration is internal and page by page: each page's
+    /// bytes decode in one tight loop, with no per-KV check for a page
+    /// boundary as an external iterator flattening the pages would need.
+    ///
+    /// # Errors
+    /// Propagates the first error from `f`.
+    pub fn for_each_kv(&self, mut f: impl FnMut(&[u8], &[u8]) -> Result<()>) -> Result<()> {
+        for page in &self.pages {
+            for (k, v) in KvDecoder::new(self.meta, page.as_slice()) {
+                f(k, v)?;
+            }
+        }
+        Ok(())
     }
 
     /// Consumes the container, invoking `f` on every KV and **freeing each
@@ -305,6 +314,18 @@ mod tests {
         MemPool::new("t", page, budget).unwrap()
     }
 
+    type Kvs = Vec<(Vec<u8>, Vec<u8>)>;
+
+    fn collect(kvc: &KvContainer) -> Kvs {
+        let mut out = Vec::new();
+        kvc.for_each_kv(|k, v| {
+            out.push((k.to_vec(), v.to_vec()));
+            Ok(())
+        })
+        .unwrap();
+        out
+    }
+
     #[test]
     fn push_and_iter_roundtrip() {
         let p = pool(64, 1024);
@@ -314,11 +335,63 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(kvc.len(), 20);
-        let got: Vec<(Vec<u8>, Vec<u8>)> =
-            kvc.iter().map(|(k, v)| (k.to_vec(), v.to_vec())).collect();
+        let got = collect(&kvc);
         assert_eq!(got.len(), 20);
         assert_eq!(got[7].0, b"key7");
         assert_eq!(got[7].1, 7u32.to_le_bytes());
+    }
+
+    #[test]
+    fn for_each_kv_visits_what_drain_visits_in_order() {
+        // Small pages force many page boundaries; every meta decodes
+        // through its own header layout.
+        for meta in [
+            KvMeta::var(),
+            KvMeta::fixed(8, 8),
+            KvMeta::cstr_key_u64_val(),
+        ] {
+            let p = pool(64, 64 * 1024);
+            let mut kvc = KvContainer::new(&p, meta);
+            for i in 0..200u64 {
+                let key = match meta.key {
+                    LenHint::Fixed(_) => i.to_le_bytes().to_vec(),
+                    _ => format!("k{}", i * 7919 % 1000).into_bytes(),
+                };
+                kvc.push(&key, &(i * 3).to_le_bytes()).unwrap();
+            }
+            assert!(kvc.pages_held() > 20, "{meta:?}: spans many pages");
+            let visited = collect(&kvc);
+            let mut drained = Vec::new();
+            kvc.drain(|k, v| {
+                drained.push((k.to_vec(), v.to_vec()));
+                Ok(())
+            })
+            .unwrap();
+            assert_eq!(visited.len(), 200, "{meta:?}");
+            assert_eq!(visited, drained, "{meta:?}");
+        }
+    }
+
+    #[test]
+    fn for_each_kv_error_short_circuits_and_keeps_the_container() {
+        let p = pool(64, 1024);
+        let mut kvc = KvContainer::new(&p, KvMeta::fixed(8, 8));
+        for i in 0..12u64 {
+            kvc.push(&i.to_le_bytes(), &i.to_le_bytes()).unwrap();
+        }
+        let mut n = 0;
+        let res = kvc.for_each_kv(|_, _| {
+            n += 1;
+            if n == 6 {
+                Err(MimirError::Config("stop".into()))
+            } else {
+                Ok(())
+            }
+        });
+        assert!(res.is_err());
+        assert_eq!(n, 6, "stops at the first error, mid-page");
+        assert_eq!(kvc.len(), 12, "a visit consumes nothing");
+        assert_eq!(collect(&kvc).len(), 12);
     }
 
     #[test]
@@ -406,9 +479,8 @@ mod tests {
         kvc.push(b"word", &9u64.to_le_bytes()).unwrap();
         // 4 key + 1 NUL + 8 val = 13 bytes, vs 8+4+8=20 un-hinted.
         assert_eq!(kvc.bytes(), 13);
-        let (k, v) = kvc.iter().next().unwrap();
-        assert_eq!(k, b"word");
-        assert_eq!(u64::from_le_bytes(v.try_into().unwrap()), 9);
+        let got = collect(&kvc);
+        assert_eq!(got, vec![(b"word".to_vec(), 9u64.to_le_bytes().to_vec())]);
     }
 
     #[test]

@@ -25,6 +25,17 @@ fn gen_kvs(seed: u64, case: usize) -> Vec<(Vec<u8>, Vec<u8>)> {
         .collect()
 }
 
+/// Every KV of `kvc`, in visiting order, without consuming it.
+fn visit(kvc: &KvContainer) -> Vec<(Vec<u8>, Vec<u8>)> {
+    let mut out = Vec::new();
+    kvc.for_each_kv(|k, v| {
+        out.push((k.to_vec(), v.to_vec()));
+        Ok(())
+    })
+    .unwrap();
+    out
+}
+
 #[test]
 fn kvc_roundtrips_any_multiset() {
     for case in 0..48usize {
@@ -43,9 +54,11 @@ fn kvc_roundtrips_any_multiset() {
                 ),
             }
         }
-        let got: Vec<(Vec<u8>, Vec<u8>)> =
-            kvc.iter().map(|(k, v)| (k.to_vec(), v.to_vec())).collect();
-        assert_eq!(&got, &expected, "case {case}: iter preserves order/content");
+        let got = visit(&kvc);
+        assert_eq!(
+            &got, &expected,
+            "case {case}: a visit preserves order/content"
+        );
         let mut drained = Vec::new();
         kvc.drain(|k, v| {
             drained.push((k.to_vec(), v.to_vec()));
@@ -70,9 +83,7 @@ fn cstr_key_container_roundtrips() {
         for (k, v) in &kvs {
             kvc.push(k, v).unwrap();
         }
-        let got: Vec<(Vec<u8>, Vec<u8>)> =
-            kvc.iter().map(|(k, v)| (k.to_vec(), v.to_vec())).collect();
-        assert_eq!(got, kvs, "case {case}");
+        assert_eq!(visit(&kvc), kvs, "case {case}");
     }
 }
 

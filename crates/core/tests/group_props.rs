@@ -7,7 +7,7 @@
 use std::collections::HashMap;
 
 use mimir_core::{
-    convert_with, fxhash64, partition_of, GroupIndex, GroupingMode, KvContainer, KvMeta,
+    convert_with, fxhash64, partition_of, GroupIndex, GroupStats, GroupingMode, KvContainer, KvMeta,
 };
 use mimir_mem::MemPool;
 
@@ -269,4 +269,56 @@ fn case_kv(allow_empty: bool, rng: &mut Rng, i: u64) -> (Vec<u8>, Vec<u8>) {
     };
     let val = (i % 251).to_le_bytes().to_vec();
     (key, val)
+}
+
+/// One fixed key stream covering growth from empty (many rehashes), a
+/// 24-way full-hash pileup (long probes into the high histogram
+/// buckets), the empty key and jumbo keys, replayed once so the second
+/// pass is all hits.
+fn fixed_counter_stream() -> Vec<Vec<u8>> {
+    let family = collision_family(24);
+    let mut pass = Vec::new();
+    for i in 0..600u32 {
+        pass.push(format!("key-{i}").into_bytes());
+        if i % 50 == 0 {
+            pass.push(Vec::new());
+        }
+        if i % 100 == 7 {
+            pass.push(vec![i as u8; 200]);
+        }
+        if let Some(k) = family.get(i as usize / 25) {
+            if i % 25 == 3 {
+                pass.push(k.to_vec());
+            }
+        }
+    }
+    let mut stream = pass.clone();
+    stream.extend(pass);
+    stream
+}
+
+#[test]
+fn group_stats_match_golden_counters() {
+    // Frozen counters of the fixed stream: probe accounting (and
+    // `inserts`, derived from the histogram) must keep its meaning.
+    let pool = MemPool::unlimited("t", 128);
+    let mut ix = GroupIndex::new(&pool).unwrap();
+    let stream = fixed_counter_stream();
+    for k in &stream {
+        ix.insert(k).unwrap();
+    }
+    assert_eq!(
+        ix.stats(),
+        GroupStats {
+            inserts: 1284,
+            probes: 3341,
+            max_probe: 61,
+            rehashes: 6,
+            interned_bytes: 5674,
+            groups: 631,
+            capacity: 1024,
+            probe_hist: [721, 195, 120, 42, 105, 42, 35, 24],
+        }
+    );
+    assert_eq!(stream.len(), 1284, "one insert per streamed key");
 }

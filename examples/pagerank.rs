@@ -157,12 +157,13 @@ fn main() {
         let best = ctx
             .with_cached("pr", |kvc| {
                 let mut best = (0u64, f64::MIN);
-                for (k, v) in kvc.iter() {
+                kvc.for_each_kv(|k, v| {
                     let r = f64::from_le_bytes(v.try_into().unwrap());
                     if r > best.1 {
                         best = (typed::dec_u64(k), r);
                     }
-                }
+                    Ok(())
+                })?;
                 Ok(best)
             })
             .expect("read cached rank vector");
