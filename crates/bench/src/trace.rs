@@ -17,9 +17,8 @@ use mimir_apps::RunMetrics;
 use mimir_mem::MemPool;
 use mimir_mpi::Comm;
 use mimir_obs::{
-    chrome_trace, jsonl_string, AdaptCounters, CacheCounters, CacheNameRecord, GroupCounters,
-    JobCounters, MemCounters, PhasePeaks, PhaseTimes, RankReport, Recorder, ShuffleCounters,
-    WaitCounters,
+    chrome_trace, jsonl_string, CacheNameRecord, JobCounters, PhasePeaks, PhaseTimes, RankReport,
+    Recorder, WaitCounters,
 };
 
 /// Where trace files land when `MIMIR_TRACE_DIR` is unset.
@@ -104,67 +103,17 @@ pub fn build_report(comm: &Comm, pool: &MemPool, m: &RunMetrics) -> RankReport {
     let mut report = RankReport::new(comm.rank());
     let cs = comm.stats();
     report.comm = cs.counters();
-    let ps = pool.stats();
-    report.mem = MemCounters {
-        pages_allocated: ps.page_allocs,
-        pages_recycled: ps.page_frees,
-        bytes_in_use: ps.used as u64,
-        peak_bytes: ps.peak as u64,
-        // `usize::MAX` means "unlimited": store 0 so the doctor's
-        // headroom rule skips pools the experiment didn't meter.
-        budget_bytes: if ps.budget == usize::MAX {
-            0
-        } else {
-            ps.budget as u64
-        },
-        oom_events: ps.oom_events,
-    };
+    report.mem = pool.stats().counters();
     let j = &m.job;
-    report.shuffle = ShuffleCounters {
-        kvs_emitted: j.shuffle.kvs_emitted,
-        kv_bytes_emitted: j.shuffle.kv_bytes_emitted,
-        kvs_received: j.shuffle.kvs_received,
-        rounds: j.shuffle.rounds,
-        spilled_bytes: 0,
-        bytes_received: j.shuffle.bytes_received,
-        max_round_recv_bytes: j.shuffle.max_round_recv_bytes,
-        max_dest_bytes: j.shuffle.max_dest_bytes,
-        imbalance_permille: j.shuffle.imbalance_permille,
-        gini_permille: j.shuffle.gini_permille,
-    };
+    report.shuffle = j.shuffle.counters();
     report.waits = WaitCounters {
         sync_wait_ns: j.shuffle.sync_wait_ns,
         data_wait_ns: j.shuffle.data_wait_ns,
         barrier_wait_ns: j.barrier_wait_ns,
         ..cs.wait_counters()
     };
-    let a = &j.shuffle.adapt;
-    report.adapt = AdaptCounters {
-        mode_switches: a.mode_switches,
-        grow_steps: a.grow_steps,
-        shrink_steps: a.shrink_steps,
-        final_fill_permille: a.final_fill_permille,
-        final_overlap: a.final_overlap,
-        converged_round: a.converged_round,
-        hot_trips: a.hot_trips,
-        hot_staged_kvs: a.hot_staged_kvs,
-        hot_staged_bytes: a.hot_staged_bytes,
-        hot_unique_kvs: a.hot_unique_kvs,
-        hot_forward_bytes: a.hot_forward_bytes,
-        salted_rounds: a.salted_rounds,
-        merge_rounds: a.merge_rounds,
-        jumbo_floor_hits: a.jumbo_floor_hits,
-    };
-    report.group = GroupCounters {
-        inserts: j.group.inserts,
-        probes: j.group.probes,
-        max_probe: j.group.max_probe,
-        rehashes: j.group.rehashes,
-        interned_bytes: j.group.interned_bytes,
-        groups: j.group.groups,
-        capacity: j.group.capacity,
-        probe_hist: j.group.probe_hist,
-    };
+    report.adapt = j.shuffle.adapt;
+    report.group = j.group;
     report.times = PhaseTimes {
         map_s: j.map_time.as_secs_f64(),
         aggregate_s: 0.0,
@@ -202,14 +151,7 @@ pub fn attach_cache(
     stats: mimir_core::CacheStats,
     snaps: &[mimir_core::CacheEntrySnapshot],
 ) {
-    report.cache = CacheCounters {
-        hits: stats.hits,
-        misses: stats.misses,
-        elisions: stats.elisions,
-        evictions: stats.evictions,
-        reloads: stats.reloads,
-        cached_bytes: stats.cached_bytes,
-    };
+    report.cache = stats;
     report.cache_names = snaps
         .iter()
         .map(|(name, bytes, elisions)| CacheNameRecord {

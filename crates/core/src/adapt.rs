@@ -65,60 +65,8 @@ pub mod decision {
 }
 
 /// Counters describing what the adaptive controller did during one
-/// shuffle. All zero outside [`crate::ShuffleMode::Adaptive`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AdaptStats {
-    /// Exchange-mode switches applied (zero-copy ↔ overlapped posting).
-    pub mode_switches: u64,
-    /// Effective round-size grow steps applied.
-    pub grow_steps: u64,
-    /// Effective round-size shrink steps applied.
-    pub shrink_steps: u64,
-    /// Effective fill target at job end, permille of partition capacity.
-    pub final_fill_permille: u64,
-    /// 1 when the job finished with overlapped posting.
-    pub final_overlap: u64,
-    /// Round index of the last applied tuning change (0 = never tuned).
-    pub converged_round: u64,
-    /// Destinations declared hot and diverted through the staged path.
-    pub hot_trips: u64,
-    /// KVs absorbed into the hot stage (count bumps included).
-    pub hot_staged_kvs: u64,
-    /// Encoded bytes those staged KVs would have sent directly.
-    pub hot_staged_bytes: u64,
-    /// Distinct KVs the hot stage ended up holding.
-    pub hot_unique_kvs: u64,
-    /// Encoded bytes that bypassed a full stage and shipped directly.
-    pub hot_forward_bytes: u64,
-    /// Exchange rounds spent in the salted spread phase.
-    pub salted_rounds: u64,
-    /// Exchange rounds spent in the owner-merge phase.
-    pub merge_rounds: u64,
-    /// Times the jumbo floor overrode a shrunken fill target.
-    pub jumbo_floor_hits: u64,
-}
-
-impl AdaptStats {
-    /// Folds another rank's counters in: decisions and traffic sum; the
-    /// convergence descriptors take the max (ranks decide from identical
-    /// tallies, so max is the identity across participating ranks).
-    pub fn merge(&mut self, other: &AdaptStats) {
-        self.mode_switches += other.mode_switches;
-        self.grow_steps += other.grow_steps;
-        self.shrink_steps += other.shrink_steps;
-        self.final_fill_permille = self.final_fill_permille.max(other.final_fill_permille);
-        self.final_overlap = self.final_overlap.max(other.final_overlap);
-        self.converged_round = self.converged_round.max(other.converged_round);
-        self.hot_trips += other.hot_trips;
-        self.hot_staged_kvs += other.hot_staged_kvs;
-        self.hot_staged_bytes += other.hot_staged_bytes;
-        self.hot_unique_kvs += other.hot_unique_kvs;
-        self.hot_forward_bytes += other.hot_forward_bytes;
-        self.salted_rounds += other.salted_rounds;
-        self.merge_rounds += other.merge_rounds;
-        self.jumbo_floor_hits += other.jumbo_floor_hits;
-    }
-}
+/// shuffle: the report's adapt section, counted into directly.
+pub use mimir_obs::AdaptCounters as AdaptStats;
 
 /// The per-job tuning state machine. Deterministic: fed identical
 /// tallies (which the ballot allreduce guarantees), every rank's

@@ -34,22 +34,9 @@ use crate::hash::fxhash64;
 use crate::partitioner::PartitionFingerprint;
 use crate::{KvContainer, KvMeta, MimirError, Result};
 
-/// Cache-wide counters, mirrored into `RankReport`'s `cache` section.
-#[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Chained inputs found resident.
-    pub hits: u64,
-    /// Lookups of names the cache did not hold (cold starts and errors).
-    pub misses: u64,
-    /// Shuffles skipped because the input's fingerprint matched the job's.
-    pub elisions: u64,
-    /// Resident containers spilled to disk under memory pressure.
-    pub evictions: u64,
-    /// Evicted entries transparently reloaded from their spill files.
-    pub reloads: u64,
-    /// Payload bytes currently resident (charged against the pool).
-    pub cached_bytes: u64,
-}
+/// Cache-wide counters: the report's cache section, counted into
+/// directly.
+pub use mimir_obs::CacheCounters as CacheStats;
 
 /// Per-name diagnostic snapshot: `(name, resident payload bytes,
 /// cumulative elisions)`. Names survive overwrites, so iterative chains

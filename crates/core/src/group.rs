@@ -127,79 +127,19 @@ const ENTRY_BYTES: usize = std::mem::size_of::<Entry>();
 /// An unoccupied slot. Real slots can never collide with this value
 /// because group ids are capped below `u32::MAX`.
 const EMPTY: u64 = u64::MAX;
-/// Number of probe-length histogram buckets (0, 1, 2, 3, 4–7, 8–15,
-/// 16–31, 32+).
-pub const PROBE_HIST_BUCKETS: usize = 8;
-
 /// Counters describing one [`GroupIndex`] (or the merged tables of a
-/// job). Cumulative across [`GroupIndex::clear`], so a streaming
-/// combiner's repeated flushes accumulate rather than reset.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GroupStats {
-    /// Keys looked up or inserted (one per KV routed through the table);
-    /// always the sum of `probe_hist`.
-    pub inserts: u64,
-    /// Total probe steps beyond the home slot across all inserts.
-    pub probes: u64,
-    /// Longest single probe sequence observed.
-    pub max_probe: u64,
-    /// Slot-table rebuilds (growth events with at least one live entry).
-    pub rehashes: u64,
-    /// Key bytes interned into the arena.
-    pub interned_bytes: u64,
-    /// Unique keys (live groups at measurement time, summed over
-    /// clears).
-    pub groups: u64,
-    /// Slot-table capacity at measurement time.
-    pub capacity: u64,
-    /// Probe-length histogram: buckets 0, 1, 2, 3, 4–7, 8–15, 16–31,
-    /// 32+.
-    pub probe_hist: [u64; PROBE_HIST_BUCKETS],
-}
+/// job): the report's group section, counted into directly.
+pub use mimir_obs::GroupCounters as GroupStats;
 
-impl GroupStats {
-    /// Folds another table's counters into this one: traffic counters
-    /// and the histogram sum, extremes take the max.
-    pub fn merge(&mut self, other: &GroupStats) {
-        self.inserts += other.inserts;
-        self.probes += other.probes;
-        self.max_probe = self.max_probe.max(other.max_probe);
-        self.rehashes += other.rehashes;
-        self.interned_bytes += other.interned_bytes;
-        self.groups += other.groups;
-        self.capacity = self.capacity.max(other.capacity);
-        for (a, b) in self.probe_hist.iter_mut().zip(other.probe_hist.iter()) {
-            *a += *b;
-        }
-    }
-
-    /// Mean probe steps per insert (0 when nothing was inserted).
-    pub fn avg_probe(&self) -> f64 {
-        if self.inserts == 0 {
-            0.0
-        } else {
-            self.probes as f64 / self.inserts as f64
-        }
-    }
-
-    /// Live groups over slot capacity (0 when the table never grew).
-    pub fn load_factor(&self) -> f64 {
-        if self.capacity == 0 {
-            0.0
-        } else {
-            self.groups as f64 / self.capacity as f64
-        }
-    }
-
-    /// The histogram bucket a probe length falls into.
-    pub fn probe_bucket(probe: u64) -> usize {
-        match probe {
-            0..=3 => probe as usize,
-            4..=7 => 4,
-            8..=15 => 5,
-            16..=31 => 6,
-            _ => 7,
-        }
+/// The probe-length histogram bucket a probe length falls into: 0, 1,
+/// 2, 3, 4–7, 8–15, 16–31, 32+.
+fn probe_bucket(probe: u64) -> usize {
+    match probe {
+        0..=3 => probe as usize,
+        4..=7 => 4,
+        8..=15 => 5,
+        16..=31 => 6,
+        _ => 7,
     }
 }
 
@@ -430,7 +370,7 @@ impl GroupIndex {
         }
         self.stats.probes += probe;
         self.stats.max_probe = self.stats.max_probe.max(probe);
-        self.stats.probe_hist[GroupStats::probe_bucket(probe)] += 1;
+        self.stats.probe_hist[probe_bucket(probe)] += 1;
     }
 
     /// Doubles the slot table (first growth: 16 slots) and re-places

@@ -45,21 +45,7 @@ fn note_live_mem(pool: &mimir_mem::MemPool) {
     if mimir_obs::live::shared().is_none() {
         return;
     }
-    let ps = pool.stats();
-    mimir_obs::live::note_mem(mimir_obs::MemCounters {
-        pages_allocated: ps.page_allocs,
-        pages_recycled: ps.page_frees,
-        bytes_in_use: ps.used as u64,
-        peak_bytes: ps.peak as u64,
-        // `usize::MAX` means "unlimited": store 0 so the headroom rule
-        // skips unmetered pools (same convention as the final report).
-        budget_bytes: if ps.budget == usize::MAX {
-            0
-        } else {
-            ps.budget as u64
-        },
-        oom_events: ps.oom_events,
-    });
+    mimir_obs::live::note_mem(pool.stats().counters());
 }
 
 /// A configured-but-not-yet-run MapReduce job.

@@ -142,6 +142,24 @@ impl ShuffleStats {
         self.gini_permille = self.gini_permille.max(other.gini_permille);
         self.adapt.merge(&other.adapt);
     }
+
+    /// The report's shuffle section. The waits belong to the report's
+    /// wait-state section and `adapt` is its own section; nothing spills
+    /// inside the shuffle, so `spilled_bytes` is 0.
+    pub fn counters(&self) -> mimir_obs::ShuffleCounters {
+        mimir_obs::ShuffleCounters {
+            kvs_emitted: self.kvs_emitted,
+            kv_bytes_emitted: self.kv_bytes_emitted,
+            kvs_received: self.kvs_received,
+            rounds: self.rounds,
+            spilled_bytes: 0,
+            bytes_received: self.bytes_received,
+            max_round_recv_bytes: self.max_round_recv_bytes,
+            max_dest_bytes: self.max_dest_bytes,
+            imbalance_permille: self.imbalance_permille,
+            gini_permille: self.gini_permille,
+        }
+    }
 }
 
 /// The partitioned-send-buffer shuffle engine.
@@ -498,19 +516,8 @@ impl<'a, S: KvSink> Shuffler<'a, S> {
         if mimir_obs::live::shared().is_none() {
             return;
         }
-        let s = &self.stats;
-        let mut counters = mimir_obs::ShuffleCounters {
-            kvs_emitted: s.kvs_emitted,
-            kv_bytes_emitted: s.kv_bytes_emitted,
-            kvs_received: s.kvs_received,
-            rounds: s.rounds,
-            spilled_bytes: 0,
-            bytes_received: s.bytes_received,
-            max_round_recv_bytes: s.max_round_recv_bytes,
-            max_dest_bytes: self.dest_bytes.iter().copied().max().unwrap_or(0),
-            imbalance_permille: s.imbalance_permille,
-            gini_permille: s.gini_permille,
-        };
+        let mut counters = self.stats.counters();
+        counters.max_dest_bytes = self.dest_bytes.iter().copied().max().unwrap_or(0);
         let mut scratch = self.dest_bytes.clone();
         if let Some((imbalance, gini)) = skew_permille(&mut scratch) {
             counters.imbalance_permille = imbalance;

@@ -27,6 +27,24 @@ impl MemStats {
     pub fn peak_fraction(&self) -> Option<f64> {
         (self.budget != usize::MAX).then(|| self.peak as f64 / self.budget as f64)
     }
+
+    /// The report's memory section. An unlimited budget (`usize::MAX`)
+    /// reports as 0, so the doctor's headroom rule skips pools the run
+    /// did not meter.
+    pub fn counters(&self) -> mimir_obs::MemCounters {
+        mimir_obs::MemCounters {
+            pages_allocated: self.page_allocs,
+            pages_recycled: self.page_frees,
+            bytes_in_use: self.used as u64,
+            peak_bytes: self.peak as u64,
+            budget_bytes: if self.budget == usize::MAX {
+                0
+            } else {
+                self.budget as u64
+            },
+            oom_events: self.oom_events,
+        }
+    }
 }
 
 #[cfg(test)]

@@ -129,7 +129,7 @@ impl Comm {
     /// live accumulator; a no-op when the plane is unarmed.
     fn push_live(&mut self) {
         let Some(live) = &self.live else { return };
-        let cur = self.stats.merge(&self.transport.extra_stats());
+        let cur = self.stats();
         let delta = cur.delta_since(&self.live_last);
         live.add_comm(&delta.counters());
         live.add_waits(&delta.wait_counters());
@@ -161,7 +161,9 @@ impl Comm {
     /// the backend's process-level extras (handshake time, reader-pool
     /// misses) when this is a world communicator.
     pub fn stats(&self) -> CommStats {
-        self.stats.merge(&self.transport.extra_stats())
+        let mut s = self.stats;
+        s.merge(&self.transport.extra_stats());
+        s
     }
 
     /// Sends `data` to `dst` with `tag`, taking ownership of the buffer

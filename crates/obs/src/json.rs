@@ -3,9 +3,10 @@
 //! The workspace builds offline with no external crates, so the
 //! observability layer carries its own JSON support: enough for
 //! chrome-trace files, JSON-lines event logs, figure records, and
-//! parse-back in tests. Numbers are `f64` (every quantity we serialize —
-//! timestamps in nanoseconds, byte counts, KV counts — fits losslessly
-//! in the 53-bit mantissa at the scales the reproduction runs at).
+//! parse-back in tests. Numbers are `f64`, except integers from 2^53 up:
+//! an `f64` stops counting in ones there, yet flow ids and packed
+//! `(rank << 48) | bytes` values reach it from rank 32 on, so those stay
+//! exact as [`Json::U64`].
 
 use std::collections::VecDeque;
 use std::fmt::Write as _;
@@ -17,8 +18,11 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any number.
+    /// Any number, except the integers [`Json::U64`] holds.
     Num(f64),
+    /// An integer from 2^53 up, kept exact. Smaller integers are always
+    /// `Num` (see [`Json::from_u64`]), so each value has one form.
+    U64(u64),
     /// A string.
     Str(String),
     /// An array.
@@ -55,6 +59,15 @@ impl Json {
         )
     }
 
+    /// An exact unsigned integer: `Num` below 2^53, `U64` from there up.
+    pub fn from_u64(n: u64) -> Json {
+        if n < EXACT_F64 {
+            Json::Num(n as f64)
+        } else {
+            Json::U64(n)
+        }
+    }
+
     /// Looks up a key in an object; `None` for other variants.
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
@@ -67,13 +80,17 @@ impl Json {
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Json::Num(n) => Some(*n),
+            Json::U64(n) => Some(*n as f64),
             _ => None,
         }
     }
 
     /// The value as an unsigned integer, if numeric and non-negative.
     pub fn as_u64(&self) -> Option<u64> {
-        self.as_f64().filter(|n| *n >= 0.0).map(|n| n as u64)
+        match self {
+            Json::U64(n) => Some(*n),
+            _ => self.as_f64().filter(|n| *n >= 0.0).map(|n| n as u64),
+        }
     }
 
     /// The value as a string slice.
@@ -114,6 +131,9 @@ impl Json {
             Json::Bool(true) => out.push_str("true"),
             Json::Bool(false) => out.push_str("false"),
             Json::Num(n) => write_num(*n, out),
+            Json::U64(n) => {
+                let _ = write!(out, "{n}");
+            }
             Json::Str(s) => write_str(s, out),
             Json::Arr(items) => {
                 out.push('[');
@@ -226,6 +246,9 @@ fn push_indent(out: &mut String, indent: usize) {
         out.push_str("  ");
     }
 }
+
+/// 2^53: from here up, an `f64` no longer holds every integer.
+const EXACT_F64: u64 = 1 << 53;
 
 fn write_num(n: f64, out: &mut String) {
     if !n.is_finite() {
@@ -469,6 +492,9 @@ impl<'a> Parser<'a> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.err("bad number"))?;
+        if let Ok(n) = text.parse::<u64>() {
+            return Ok(Json::from_u64(n));
+        }
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|_| self.err("bad number"))

@@ -44,12 +44,12 @@ pub fn jsonl_string(reports: &[RankReport]) -> String {
         for e in &events {
             let line = Json::obj(vec![
                 ("record", Json::Str("event".into())),
-                ("rank", Json::Num(r.rank as f64)),
-                ("t_ns", Json::Num(e.t_ns as f64)),
+                ("rank", Json::from_u64(r.rank)),
+                ("t_ns", Json::from_u64(e.t_ns)),
                 ("kind", Json::Str(e.kind.name().into())),
                 ("label", Json::Str(e.label().into())),
-                ("a", Json::Num(e.a as f64)),
-                ("b", Json::Num(e.b as f64)),
+                ("a", Json::from_u64(e.a)),
+                ("b", Json::from_u64(e.b)),
             ]);
             out.push_str(&line.to_string());
             out.push('\n');

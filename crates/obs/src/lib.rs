@@ -23,6 +23,7 @@
 #![warn(missing_docs)]
 
 pub mod chrome;
+pub mod counter;
 pub mod event;
 pub mod json;
 pub mod jsonl;

@@ -13,7 +13,7 @@ use mimir_datagen::UniformWords;
 use mimir_io::IoModel;
 use mimir_mem::MemPool;
 use mimir_mpi::{run_world_on, Comm, TransportKind};
-use mimir_obs::{CacheCounters, CacheNameRecord, MemCounters, RankReport, Recorder};
+use mimir_obs::{CacheCounters, CacheNameRecord, RankReport, Recorder};
 use mimir_sched::{JobOutcome, JobService, JobSpec, JobYield, SchedConfig};
 
 const RANKS: usize = 4;
@@ -56,19 +56,7 @@ fn export_trace(
     let cs = comm.stats();
     r.comm = cs.counters();
     r.waits = cs.wait_counters();
-    let ps = pool.stats();
-    r.mem = MemCounters {
-        pages_allocated: ps.page_allocs,
-        pages_recycled: ps.page_frees,
-        bytes_in_use: ps.used as u64,
-        peak_bytes: ps.peak as u64,
-        budget_bytes: if ps.budget == usize::MAX {
-            0
-        } else {
-            ps.budget as u64
-        },
-        oom_events: ps.oom_events,
-    };
+    r.mem = pool.stats().counters();
     r.jobs = records;
     (r.cache, r.cache_names) = cache;
     if let Some(rec) = mimir_obs::take() {
@@ -229,15 +217,7 @@ fn stress_world() -> Vec<RankResult> {
         let cache = {
             let shared = svc.cache();
             let guard = lock_cache(&shared);
-            let s = guard.stats();
-            let counters = CacheCounters {
-                hits: s.hits,
-                misses: s.misses,
-                elisions: s.elisions,
-                evictions: s.evictions,
-                reloads: s.reloads,
-                cached_bytes: s.cached_bytes,
-            };
+            let counters = guard.stats();
             let names = guard
                 .entry_snapshots()
                 .into_iter()

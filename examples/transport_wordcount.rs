@@ -51,7 +51,7 @@ fn main() {
     let mut total = CommStats::default();
     for (rank, (digest, stats)) in per_rank.iter().enumerate() {
         println!("rank {rank}: digest {digest:016x}");
-        total = total.merge(stats);
+        total.merge(stats);
     }
     println!(
         "comm: {} msgs, {} B payload; wire: {} frames, {} B, handshake {:.2} ms",
