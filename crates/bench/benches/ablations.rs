@@ -8,8 +8,8 @@
 //!    on the same in-memory workload.
 //! 4. **Grouping strategy** — the two-pass hash-bucket convert vs the
 //!    partial-reduction fold vs MR-MPI's sort-based grouping.
-//! 5. **Shuffle mode** — the legacy allocate-per-round exchange vs the
-//!    zero-copy and overlapped data paths, end to end through WordCount.
+//! 5. **Shuffle mode** — the vote-first zero-copy vs the overlapped
+//!    (post-first) exchange, end to end through WordCount.
 //!
 //! Plain harness: each case is timed over a few iterations and reported
 //! as ms/iter.
@@ -136,10 +136,9 @@ fn ablate_grouping() {
 
 fn ablate_shuffle_mode() {
     use mimir_core::ShuffleMode;
-    // Full WordCount pipeline under each shuffle data path; the raw
+    // Full WordCount pipeline under each static posting order; the raw
     // engine numbers live in `shuffle_bench` / BENCH_shuffle.json.
     for (label, mode) in [
-        ("shuffle_mode/legacy", ShuffleMode::Legacy),
         ("shuffle_mode/zero_copy", ShuffleMode::ZeroCopy),
         ("shuffle_mode/overlapped", ShuffleMode::Overlapped),
     ] {

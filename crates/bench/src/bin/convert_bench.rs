@@ -1,23 +1,25 @@
-//! **Grouping ablation** — throughput of the convert phase and the fold
-//! table under the two [`GroupingMode`] engines, isolating grouping from
-//! shuffle and reduce costs.
-//!
-//! `Legacy` groups through `HashMap<Vec<u8>, u32>`: one heap-allocated
-//! key copy per unique key, a hash + map lookup in pass 1 *and again* in
-//! pass 2. `Arena` groups through the shared [`GroupIndex`]: keys hash
-//! exactly once (pass 1), bytes intern into pool-page arenas, and pass 2
-//! replays a per-KV group-id array with no hashing or lookups at all.
+//! **Grouping bench** — throughput of the convert phase and the fold
+//! table on the [`GroupIndex`] engine, isolating grouping from shuffle
+//! and reduce costs. Keys hash exactly once (pass 1), bytes intern into
+//! pool-page arenas, and pass 2 replays a per-KV group-id array with no
+//! hashing or lookups at all.
 //!
 //! Cells cover the shapes that stress different parts of the engine:
 //! Zipf-skewed wordcount (the paper's WC workload — probe-hit dominated),
 //! uniform unique-heavy fixed keys (insert dominated), duplicate-heavy
 //! fixed keys (pure probe hits), and the combiner fold path.
 //!
-//! Writes `BENCH_convert.json`; `--quick` runs shrunken cells as a CI
-//! smoke test. The acceptance bar is ≥1.25× on the skewed wordcount
-//! cell; a `REGRESSION` marker (nonzero exit) fires if the arena engine
-//! loses to legacy anywhere.
+//! Writes `BENCH_convert.json` (`--quick`: shrunken cells, written under
+//! `target/bench-quick/`). A `REGRESSION` marker (nonzero exit) fires
+//! on any cell whose engine counters break the one-probe contract:
+//! `inserts` must equal the KVs fed (each key hashed and probed once).
+//! On convert cells `groups` must equal the distinct keys the bench
+//! counts in its own key list. The fold cell flushes whenever the table
+//! passes 1 MiB and its `groups` counts every flush cycle, so there
+//! `groups` must be at least the distinct keys and equal the KVs the
+//! flushes delivered, and the delivered counts must sum to the KVs fed.
 
+use std::collections::HashSet;
 use std::time::Instant;
 
 use mimir_bench::HarnessArgs;
@@ -31,8 +33,7 @@ use mimir_obs::Json;
 
 const PAGE: usize = 1 << 20;
 
-/// The KV streams under test. Each builds the same stream for both
-/// engines (same seed), so the comparison is exact.
+/// The KV streams under test, each from a fixed seed.
 #[derive(Clone, Copy)]
 enum Workload {
     /// Zipf(1.0) words over a 50 Ki vocabulary, CStr keys, u64 counts —
@@ -93,10 +94,13 @@ struct Measure {
     mkvs_per_s: f64,
     stats: GroupStats,
     kvs: usize,
+    /// Fold cell only: `(KVs delivered by the flushes, sum of their
+    /// counts)`.
+    flushed: Option<(u64, u64)>,
 }
 
-/// Best-of-repeats convert throughput for one workload × engine.
-fn run_convert(keys: &[Vec<u8>], meta: KvMeta, mode: GroupingMode, repeats: usize) -> Measure {
+/// Best-of-repeats convert throughput for one workload.
+fn run_convert(keys: &[Vec<u8>], meta: KvMeta, repeats: usize) -> Measure {
     let pool = MemPool::unlimited("bench", PAGE);
     let mut best: Option<Measure> = None;
     for _ in 0..repeats {
@@ -105,13 +109,14 @@ fn run_convert(keys: &[Vec<u8>], meta: KvMeta, mode: GroupingMode, repeats: usiz
             kvc.push(k, &1u64.to_le_bytes()).unwrap();
         }
         let t0 = Instant::now();
-        let (kmvc, stats) = convert_with(kvc, &pool, mode).unwrap();
+        let (kmvc, stats) = convert_with(kvc, &pool, GroupingMode::Arena).unwrap();
         let elapsed = t0.elapsed().as_secs_f64();
         drop(kmvc);
         let m = Measure {
             mkvs_per_s: keys.len() as f64 / 1e6 / elapsed,
             stats,
             kvs: keys.len(),
+            flushed: None,
         };
         if best.as_ref().is_none_or(|b| m.mkvs_per_s > b.mkvs_per_s) {
             best = Some(m);
@@ -123,19 +128,25 @@ fn run_convert(keys: &[Vec<u8>], meta: KvMeta, mode: GroupingMode, repeats: usiz
 /// Best-of-repeats streaming-combiner throughput: the real bounded
 /// pipeline — KVs fold into the table, the table flushes into a
 /// partitioning sink whenever it exceeds `compress_flush_bytes`-style
-/// budget. The sink partitions the way the shuffler does: legacy flushes
-/// re-hash every key ([`partition_of`]); arena flushes reuse the stored
-/// hash ([`partition_of_hashed`] via `emit_hashed`).
-fn run_fold(keys: &[Vec<u8>], meta: KvMeta, mode: GroupingMode, repeats: usize) -> Measure {
-    /// Stands in for the shuffler's partition step (16 destinations).
-    struct PartitionSink(u64);
+/// budget. The sink partitions the way the shuffler does, reusing the
+/// stored hash ([`partition_of_hashed`] via `emit_hashed`).
+fn run_fold(keys: &[Vec<u8>], meta: KvMeta, repeats: usize) -> Measure {
+    /// Stands in for the shuffler's partition step (16 destinations),
+    /// and counts the KVs it receives and the sum of their counts.
+    #[derive(Default)]
+    struct PartitionSink {
+        parts: u64,
+        kvs: u64,
+        count: u64,
+    }
     impl Emitter for PartitionSink {
-        fn emit(&mut self, k: &[u8], _v: &[u8]) -> mimir_core::Result<()> {
-            self.0 += mimir_core::partition_of(k, 16) as u64;
-            Ok(())
+        fn emit(&mut self, k: &[u8], v: &[u8]) -> mimir_core::Result<()> {
+            self.emit_hashed(k, v, mimir_core::fxhash64(k))
         }
-        fn emit_hashed(&mut self, _k: &[u8], _v: &[u8], h: u64) -> mimir_core::Result<()> {
-            self.0 += mimir_core::partition_of_hashed(h, 16) as u64;
+        fn emit_hashed(&mut self, _k: &[u8], v: &[u8], h: u64) -> mimir_core::Result<()> {
+            self.parts += mimir_core::partition_of_hashed(h, 16) as u64;
+            self.kvs += 1;
+            self.count += u64::from_le_bytes(v.try_into().expect("u64 count"));
             Ok(())
         }
     }
@@ -148,8 +159,8 @@ fn run_fold(keys: &[Vec<u8>], meta: KvMeta, mode: GroupingMode, repeats: usize) 
                 + u64::from_le_bytes(b.try_into().unwrap());
             out.extend_from_slice(&s.to_le_bytes());
         });
-        let table = CombinerTable::with_mode(&pool, meta, sum, mode).unwrap();
-        let mut sink = PartitionSink(0);
+        let table = CombinerTable::new(&pool, meta, sum).unwrap();
+        let mut sink = PartitionSink::default();
         let mut sc = StreamingCombiner::new(table, &mut sink, FLUSH_BYTES);
         let t0 = Instant::now();
         for k in keys {
@@ -157,11 +168,12 @@ fn run_fold(keys: &[Vec<u8>], meta: KvMeta, mode: GroupingMode, repeats: usize) 
         }
         let (_flushes, stats) = sc.finish().unwrap();
         let elapsed = t0.elapsed().as_secs_f64();
-        std::hint::black_box(sink.0);
+        std::hint::black_box(sink.parts);
         let m = Measure {
             mkvs_per_s: keys.len() as f64 / 1e6 / elapsed,
             stats,
             kvs: keys.len(),
+            flushed: Some((sink.kvs, sink.count)),
         };
         if best.as_ref().is_none_or(|b| m.mkvs_per_s > b.mkvs_per_s) {
             best = Some(m);
@@ -186,54 +198,71 @@ fn main() {
     ];
 
     println!(
-        "{:<10}{:>16}{:>10}{:>12}{:>10}{:>10}{:>10}{:>12}",
-        "phase", "cell", "mode", "MKV/s", "speedup", "groups", "rehashes", "avg_probe"
+        "{:<10}{:>16}{:>10}{:>10}{:>10}{:>10}{:>10}{:>10}{:>12}",
+        "phase", "cell", "MKV/s", "kvs", "inserts", "groups", "distinct", "rehashes", "avg_probe"
     );
 
     let mut rows = Vec::new();
     let mut regression = false;
-    let mut skewed_speedup: Option<f64> = None;
-    let mut report = |phase: &str, cell: Workload, legacy: Measure, arena: Measure| {
-        let speedup = arena.mkvs_per_s / legacy.mkvs_per_s;
-        if speedup < 1.0 {
+    let mut report = |phase: &str, cell: Workload, keys: &[Vec<u8>], m: Measure| {
+        let distinct = keys.iter().collect::<HashSet<_>>().len() as u64;
+        println!(
+            "{:<10}{:>16}{:>10.2}{:>10}{:>10}{:>10}{:>10}{:>10}{:>12.3}",
+            phase,
+            cell.name(),
+            m.mkvs_per_s,
+            m.kvs,
+            m.stats.inserts,
+            m.stats.groups,
+            distinct,
+            m.stats.rehashes,
+            m.stats.avg_probe(),
+        );
+        let kvs = m.kvs as u64;
+        let mut fail = |what: String| {
+            println!("REGRESSION: {phase} {}: {what}", cell.name());
             regression = true;
+        };
+        if m.stats.inserts != kvs {
+            fail(format!(
+                "{} inserts for {kvs} KVs (each key must probe once)",
+                m.stats.inserts
+            ));
         }
-        if phase == "convert" && matches!(cell, Workload::SkewedWords { .. }) {
-            skewed_speedup = Some(speedup);
+        match m.flushed {
+            None if m.stats.groups != distinct => fail(format!(
+                "{} groups for {distinct} distinct keys",
+                m.stats.groups
+            )),
+            Some((flushed, count))
+                if m.stats.groups != flushed || count != kvs || m.stats.groups < distinct =>
+            {
+                fail(format!(
+                    "{} groups for {distinct} distinct keys; the flushes delivered \
+                     {flushed} KVs counting {count} of {kvs}",
+                    m.stats.groups
+                ));
+            }
+            _ => {}
         }
-        for (mode, m) in [("legacy", &legacy), ("arena", &arena)] {
-            println!(
-                "{:<10}{:>16}{:>10}{:>12.2}{:>9.2}x{:>10}{:>10}{:>12.3}",
-                phase,
-                cell.name(),
-                mode,
-                m.mkvs_per_s,
-                if mode == "legacy" { 1.0 } else { speedup },
-                m.stats.groups,
-                m.stats.rehashes,
-                m.stats.avg_probe(),
-            );
-            rows.push(Json::obj(vec![
-                ("phase", Json::Str(phase.into())),
-                ("cell", Json::Str(cell.name().into())),
-                ("mode", Json::Str(mode.into())),
-                ("kvs", Json::Num(m.kvs as f64)),
-                ("mkvs_per_s", Json::Num(m.mkvs_per_s)),
-                (
-                    "speedup_vs_legacy",
-                    Json::Num(if mode == "legacy" { 1.0 } else { speedup }),
-                ),
-                ("groups", Json::Num(m.stats.groups as f64)),
-                ("rehashes", Json::Num(m.stats.rehashes as f64)),
-                ("avg_probe", Json::Num(m.stats.avg_probe())),
-                ("max_probe", Json::Num(m.stats.max_probe as f64)),
-                (
-                    "interned_kb",
-                    Json::Num(m.stats.interned_bytes as f64 / 1024.0),
-                ),
-                ("load_factor", Json::Num(m.stats.load_factor())),
-            ]));
-        }
+        rows.push(Json::obj(vec![
+            ("phase", Json::Str(phase.into())),
+            ("cell", Json::Str(cell.name().into())),
+            ("mode", Json::Str("arena".into())),
+            ("kvs", Json::Num(m.kvs as f64)),
+            ("mkvs_per_s", Json::Num(m.mkvs_per_s)),
+            ("inserts", Json::Num(m.stats.inserts as f64)),
+            ("groups", Json::Num(m.stats.groups as f64)),
+            ("distinct_keys", Json::Num(distinct as f64)),
+            ("rehashes", Json::Num(m.stats.rehashes as f64)),
+            ("avg_probe", Json::Num(m.stats.avg_probe())),
+            ("max_probe", Json::Num(m.stats.max_probe as f64)),
+            (
+                "interned_kb",
+                Json::Num(m.stats.interned_bytes as f64 / 1024.0),
+            ),
+            ("load_factor", Json::Num(m.stats.load_factor())),
+        ]));
     };
 
     for cell in convert_cells {
@@ -248,9 +277,8 @@ fn main() {
             },
         };
         let keys = scaled.keys();
-        let legacy = run_convert(&keys, scaled.meta(), GroupingMode::Legacy, repeats);
-        let arena = run_convert(&keys, scaled.meta(), GroupingMode::Arena, repeats);
-        report("convert", scaled, legacy, arena);
+        let m = run_convert(&keys, scaled.meta(), repeats);
+        report("convert", scaled, &keys, m);
     }
 
     // The fold path (combiner / partial reduction) on the skewed stream.
@@ -258,28 +286,19 @@ fn main() {
         corpus_bytes: (12 << 20) / scale,
     };
     let keys = fold_cell.keys();
-    let legacy = run_fold(&keys, fold_cell.meta(), GroupingMode::Legacy, repeats);
-    let arena = run_fold(&keys, fold_cell.meta(), GroupingMode::Arena, repeats);
-    report("fold", fold_cell, legacy, arena);
+    let m = run_fold(&keys, fold_cell.meta(), repeats);
+    report("fold", fold_cell, &keys, m);
 
     let doc = Json::obj(vec![
         ("bench", Json::Str("convert_grouping".into())),
         ("quick", Json::Bool(args.quick)),
-        (
-            "skewed_speedup",
-            skewed_speedup.map_or(Json::Null, Json::Num),
-        ),
         ("regression", Json::Bool(regression)),
         ("cells", Json::Arr(rows)),
     ]);
-    let path = args.json.unwrap_or_else(|| "BENCH_convert.json".into());
+    let path = args.output_path("BENCH_convert.json");
     std::fs::write(&path, doc.to_pretty()).expect("writing bench JSON");
     println!("wrote {path}");
-    if let Some(s) = skewed_speedup {
-        println!("skewed wordcount convert speedup (arena vs legacy): {s:.2}x");
-    }
     if regression {
-        println!("REGRESSION: arena grouping slower than legacy baseline");
         std::process::exit(1);
     }
 }

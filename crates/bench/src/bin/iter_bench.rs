@@ -414,7 +414,7 @@ fn main() {
         ("doctor_criticals", Json::Num(criticals as f64)),
         ("regression", Json::Bool(regression)),
     ]);
-    let path = args.json.unwrap_or_else(|| "BENCH_iter.json".into());
+    let path = args.output_path("BENCH_iter.json");
     std::fs::write(&path, doc.to_pretty()).expect("writing bench JSON");
     println!("wrote {path}");
     println!("steady-state per-iteration speedup (min, iter 2+): {min_steady:.2}x");

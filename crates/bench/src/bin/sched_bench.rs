@@ -235,7 +235,7 @@ fn main() {
         ),
         ("regression", Json::Bool(regression)),
     ]);
-    let path = args.json.unwrap_or_else(|| "BENCH_sched.json".into());
+    let path = args.output_path("BENCH_sched.json");
     std::fs::write(&path, doc.to_pretty()).expect("writing bench JSON");
     println!("wrote {path}");
     println!("aggregate throughput (concurrent vs serial): {speedup:.2}x");

@@ -1,19 +1,19 @@
-//! **Shuffle ablation** — throughput of the aggregate hot path under the
-//! three [`ShuffleMode`] data paths, isolating the exchange engine from
-//! map/convert/reduce costs: each rank pushes fixed-size KVs with
-//! uniform-random keys straight through a [`Shuffler`] into a
+//! **Shuffle bench** — throughput of the aggregate hot path under the
+//! two static [`ShuffleMode`] posting orders, isolating the exchange
+//! engine from map/convert/reduce costs: each rank pushes fixed-size KVs
+//! with uniform-random keys straight through a [`Shuffler`] into a
 //! [`KvContainer`] sink.
 //!
-//! `Legacy` allocates per round (a `Vec` per partition, a `Vec` per
-//! message) and re-inserts received KVs one at a time; `ZeroCopy` sends
-//! from send-buffer slices through pooled transport buffers and drains
-//! whole runs with page-wise memcpy; `Overlapped` additionally posts the
-//! sends before the done-allreduce. The acceptance bar for this ablation
-//! is ≥1.3× on the heavy 8-rank cell (zero-copy+overlap vs legacy).
+//! `ZeroCopy` sends from send-buffer slices through pooled transport
+//! buffers and drains whole runs with page-wise memcpy; `Overlapped`
+//! additionally posts the sends before the done-allreduce.
 //!
-//! Writes `BENCH_shuffle.json`; `--quick` runs one small cell as a CI
-//! smoke test. Prints a `REGRESSION` marker and exits nonzero if the
-//! zero-copy paths lose to the legacy baseline anywhere.
+//! Writes `BENCH_shuffle.json` (`--quick`: one small cell, written under
+//! `target/bench-quick/`). Prints a `REGRESSION` marker and exits
+//! nonzero if, on any cell and mode, the world makes one transport
+//! allocation per message or more (`send_allocs ≥ rounds·p·(p−1)`), or
+//! copies more than twice the emitted bytes (one copy out of the send
+//! buffer and one into the receive buffer fit; a third does not).
 
 use std::time::Instant;
 
@@ -97,7 +97,6 @@ fn run_cell(cell: &Cell, mode: ShuffleMode, repeats: usize) -> Measure {
 
 fn mode_name(mode: ShuffleMode) -> &'static str {
     match mode {
-        ShuffleMode::Legacy => "legacy",
         ShuffleMode::ZeroCopy => "zero-copy",
         ShuffleMode::Overlapped => "overlapped",
         ShuffleMode::Adaptive => "adaptive",
@@ -132,49 +131,56 @@ fn main() {
         (cells, 3)
     };
 
-    let modes = [
-        ShuffleMode::Legacy,
-        ShuffleMode::ZeroCopy,
-        ShuffleMode::Overlapped,
-    ];
+    let modes = [ShuffleMode::ZeroCopy, ShuffleMode::Overlapped];
     println!(
-        "{:<6}{:>8}{:>10}{:>12}{:>12}{:>10}{:>12}{:>14}",
-        "ranks", "buf", "mode", "MB/s", "speedup", "rounds", "send_allocs", "bytes_copied"
+        "{:<6}{:>8}{:>12}{:>12}{:>10}{:>12}{:>14}",
+        "ranks", "buf", "mode", "MB/s", "rounds", "send_allocs", "bytes_copied"
     );
 
     let mut rows = Vec::new();
     let mut regression = false;
-    let mut heavy8_speedup: Option<f64> = None;
     for cell in &cells {
-        let measures: Vec<Measure> = modes.iter().map(|&m| run_cell(cell, m, repeats)).collect();
-        let legacy = measures[0].mb_per_s;
-        let best_new = measures[1].mb_per_s.max(measures[2].mb_per_s);
-        if best_new < legacy {
-            regression = true;
-        }
-        if cell.ranks == 8 && cell.comm_buf == (256 << 10) {
-            heavy8_speedup = Some(best_new / legacy);
-        }
-        for m in &measures {
-            let speedup = m.mb_per_s / legacy;
+        let p = cell.ranks as u64;
+        let emitted = p * cell.kvs_per_rank as u64 * KV_BYTES;
+        for m in modes.iter().map(|&m| run_cell(cell, m, repeats)) {
             println!(
-                "{:<6}{:>8}{:>10}{:>12.1}{:>11.2}x{:>10}{:>12}{:>14}",
+                "{:<6}{:>8}{:>12}{:>12.1}{:>10}{:>12}{:>14}",
                 cell.ranks,
                 fmt_size(cell.comm_buf),
                 mode_name(m.mode),
                 m.mb_per_s,
-                speedup,
                 m.rounds,
                 m.send_allocs,
                 m.bytes_copied
             );
+            let messages = m.rounds * p * (p - 1);
+            if m.send_allocs >= messages {
+                println!(
+                    "REGRESSION: {} ranks {} {}: {} send allocs for {messages} messages \
+                     (pooled buffers must make fewer than one per message)",
+                    cell.ranks,
+                    fmt_size(cell.comm_buf),
+                    mode_name(m.mode),
+                    m.send_allocs
+                );
+                regression = true;
+            }
+            if m.bytes_copied > 2 * emitted {
+                println!(
+                    "REGRESSION: {} ranks {} {}: copied {} B for {emitted} B emitted (bound 2x)",
+                    cell.ranks,
+                    fmt_size(cell.comm_buf),
+                    mode_name(m.mode),
+                    m.bytes_copied
+                );
+                regression = true;
+            }
             rows.push(Json::obj(vec![
                 ("ranks", Json::Num(cell.ranks as f64)),
                 ("comm_buf", Json::Num(cell.comm_buf as f64)),
                 ("kvs_per_rank", Json::Num(cell.kvs_per_rank as f64)),
                 ("mode", Json::Str(mode_name(m.mode).into())),
                 ("mb_per_s", Json::Num(m.mb_per_s)),
-                ("speedup_vs_legacy", Json::Num(speedup)),
                 ("rounds", Json::Num(m.rounds as f64)),
                 ("send_allocs", Json::Num(m.send_allocs as f64)),
                 ("bytes_copied", Json::Num(m.bytes_copied as f64)),
@@ -190,21 +196,13 @@ fn main() {
         ("bench", Json::Str("shuffle_ablation".into())),
         ("quick", Json::Bool(args.quick)),
         ("kv_meta", Json::Str("fixed(8,8)".into())),
-        (
-            "heavy8_speedup",
-            heavy8_speedup.map_or(Json::Null, Json::Num),
-        ),
         ("regression", Json::Bool(regression)),
         ("cells", Json::Arr(rows)),
     ]);
-    let path = args.json.unwrap_or_else(|| "BENCH_shuffle.json".into());
+    let path = args.output_path("BENCH_shuffle.json");
     std::fs::write(&path, doc.to_pretty()).expect("writing bench JSON");
     println!("wrote {path}");
-    if let Some(s) = heavy8_speedup {
-        println!("heavy-8 (8 ranks, 256K buffers) speedup vs legacy: {s:.2}x");
-    }
     if regression {
-        println!("REGRESSION: zero-copy shuffle slower than legacy baseline");
         std::process::exit(1);
     }
 }

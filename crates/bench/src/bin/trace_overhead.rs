@@ -180,6 +180,13 @@ fn best_of(
         .unwrap()
 }
 
+/// Throughput lost by `cand` against `base` (both MB/s), as a signed
+/// fraction of `base`'s rate: 0.03 means 3% slower, and a candidate that
+/// measured faster than its baseline reads negative.
+fn overhead(base: f64, cand: f64) -> f64 {
+    base / cand - 1.0
+}
+
 /// Measures the live-off/live-on pair as interleaved A/B repeats and
 /// returns (best live-off, best live-on, overhead estimate).
 ///
@@ -214,8 +221,8 @@ fn measure_live_pair(
             .unwrap()
     };
     let (best_off, best_on) = (best(offs), best(ons));
-    let overhead = (best_off.mb_per_s / best_on.mb_per_s - 1.0).max(0.0);
-    (best_off, best_on, overhead)
+    let plane = overhead(best_off.mb_per_s, best_on.mb_per_s);
+    (best_off, best_on, plane)
 }
 
 fn main() {
@@ -249,17 +256,16 @@ fn main() {
     let mut rows = Vec::new();
     let mut full_flow_overhead = 0.0;
     for (cell, m) in CELLS.iter().zip(&measures) {
-        // Overhead of this configuration vs its baseline, as a fraction
-        // (0.03 = 3% of baseline throughput lost). The live pair is
-        // compared within itself (median of adjacent-run ratios) — it
-        // runs a larger workload, so `off` is not its baseline.
-        let overhead = match cell.name {
+        // Overhead of this configuration vs its baseline. The live pair
+        // is compared within itself (best against best) — it runs a
+        // larger workload, so `off` is not its baseline.
+        let cost = match cell.name {
             "live-off" => 0.0,
             "live-on" => telemetry_overhead,
-            _ => (off / m.mb_per_s - 1.0).max(0.0),
+            _ => overhead(off, m.mb_per_s),
         };
         if cell.name == "full-flow" {
-            full_flow_overhead = overhead;
+            full_flow_overhead = cost;
         }
         println!(
             "{:<6}{:>8}{:>12}{:>12.1}{:>11.1}%{:>12}{:>10}",
@@ -267,7 +273,7 @@ fn main() {
             fmt_size(comm_buf),
             cell.name,
             m.mb_per_s,
-            overhead * 100.0,
+            cost * 100.0,
             m.events,
             m.events_dropped
         );
@@ -278,7 +284,7 @@ fn main() {
                 Json::Num((kvs_per_rank * cell.kvs_mult) as f64),
             ),
             ("mb_per_s", Json::Num(m.mb_per_s)),
-            ("overhead", Json::Num(overhead)),
+            ("overhead", Json::Num(cost)),
             ("events", Json::Num(m.events as f64)),
             ("events_dropped", Json::Num(m.events_dropped as f64)),
         ]));
@@ -306,9 +312,7 @@ fn main() {
         ),
         ("cells", Json::Arr(rows)),
     ]);
-    let path = args
-        .json
-        .unwrap_or_else(|| "BENCH_trace_overhead.json".into());
+    let path = args.output_path("BENCH_trace_overhead.json");
     std::fs::write(&path, doc.to_pretty()).expect("writing bench JSON");
     println!("wrote {path}");
     println!(
@@ -334,5 +338,19 @@ fn main() {
     }
     if trace_regression || live_regression {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::overhead;
+
+    #[test]
+    fn overhead_is_signed() {
+        assert!((overhead(100.0, 97.0) - 3.0 / 97.0).abs() < 1e-12);
+        assert_eq!(overhead(100.0, 100.0), 0.0);
+        // A candidate that measured faster than its baseline is reported
+        // as such, not clamped to zero.
+        assert!(overhead(100.0, 110.0) < 0.0);
     }
 }

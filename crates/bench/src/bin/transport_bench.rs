@@ -202,7 +202,7 @@ fn main() {
             Json::Bool(inproc.checksums == uds.checksums),
         ),
     ]);
-    let path = args.json.unwrap_or_else(|| "BENCH_transport.json".into());
+    let path = args.output_path("BENCH_transport.json");
     std::fs::write(&path, doc.to_pretty()).expect("writing bench JSON");
     println!("wrote {path}");
     if failed {

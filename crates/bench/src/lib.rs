@@ -58,6 +58,25 @@ impl HarnessArgs {
         }
         out
     }
+
+    /// Where a bench writes its result file `file`: the `--json` path if
+    /// given; otherwise `target/bench-quick/<file>` under `--quick`, so
+    /// smoke runs never overwrite the checked-in full-run results; and
+    /// otherwise `file` in the working directory.
+    ///
+    /// # Panics
+    /// Panics if the quick-output directory cannot be created.
+    pub fn output_path(&self, file: &str) -> String {
+        if let Some(path) = &self.json {
+            return path.clone();
+        }
+        if !self.quick {
+            return file.to_string();
+        }
+        let dir = std::path::Path::new("target").join("bench-quick");
+        std::fs::create_dir_all(&dir).expect("creating target/bench-quick");
+        dir.join(file).to_string_lossy().into_owned()
+    }
 }
 
 /// Formats a byte count the way the paper's axes do (256K, 1M, 16M…).

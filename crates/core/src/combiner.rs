@@ -6,25 +6,21 @@
 //! the table flushed into the shuffle ("the aggregate phase is delayed
 //! until all KVs are compressed to maximize the benefit").
 //!
-//! Under [`GroupingMode::Arena`] (the default) the fold table runs on the
-//! shared [`GroupIndex`] engine: keys are interned into pool-page arenas
-//! and hashed exactly once per emitted KV, values merge in place, and the
-//! flush hands each KV's stored hash to the shuffle via
-//! [`Emitter::emit_hashed`] so partitioning does not re-hash. The
-//! original `HashMap<Vec<u8>, Vec<u8>>` bucket survives as
-//! [`GroupingMode::Legacy`] for ablations.
+//! The fold table runs on the shared [`GroupIndex`] engine: keys are
+//! interned into pool-page arenas and hashed exactly once per emitted KV,
+//! values merge in place, and the flush hands each KV's stored hash to
+//! the shuffle via [`Emitter::emit_hashed`] so partitioning does not
+//! re-hash.
 //!
 //! The paper is explicit about the cost side, and this implementation
 //! keeps it measurable: the table is charged to the node pool, so "it
 //! reduces memory usage only if the compression ratio reaches a certain
 //! threshold", and the per-KV probe shows up as compute time.
 
-use std::collections::HashMap;
-
 use mimir_mem::{MemPool, Reservation};
 
 use crate::group::{GroupIndex, GroupStats};
-use crate::hash::{fxhash64, FxBuild};
+use crate::hash::fxhash64;
 use crate::kv::validate;
 use crate::shuffle::Emitter;
 use crate::{GroupingMode, KvMeta, Result};
@@ -35,26 +31,12 @@ use crate::{GroupingMode, KvMeta, Result};
 /// associative, which is why this is an explicit opt-in.
 pub type CombineFn<'f> = Box<dyn FnMut(&[u8], &[u8], &[u8], &mut Vec<u8>) + 'f>;
 
-/// The grouping engine behind a [`FoldTable`]. The arena variant is
-/// boxed: it is several pointers larger than the legacy map, and the
-/// table lives behind long-lived owners (reducer, combiner), so one
-/// indirection at creation beats carrying the size difference.
-enum FoldInner {
-    /// `HashMap` bucket: owns both keys and values (ablation baseline).
-    Legacy {
-        map: HashMap<Vec<u8>, Vec<u8>, FxBuild>,
-    },
-    /// [`GroupIndex`] keys + dense value array indexed by group id.
-    Arena {
-        index: Box<GroupIndex>,
-        vals: Vec<Vec<u8>>,
-    },
-}
-
 /// A pool-tracked fold table shared by KV compression and partial
 /// reduction: key → current merged value.
 pub(crate) struct FoldTable<'f> {
-    inner: FoldInner,
+    /// Interned keys; a key's group id indexes `vals`.
+    index: GroupIndex,
+    vals: Vec<Vec<u8>>,
     res: Reservation,
     acc_bytes: usize,
     reserved: usize,
@@ -63,9 +45,6 @@ pub(crate) struct FoldTable<'f> {
     n_folded: u64,
 }
 
-/// Estimated heap cost of one legacy table entry beyond key/value
-/// payloads (HashMap slot + two `Vec` headers).
-const TABLE_ENTRY_OVERHEAD: usize = 64;
 /// Estimated heap cost of one arena value slot beyond the value bytes
 /// (`Vec` header + allocator rounding). Keys and entry metadata are
 /// charged by the [`GroupIndex`] itself.
@@ -74,18 +53,10 @@ const ARENA_VAL_OVERHEAD: usize = 32;
 const RESYNC_SLACK: usize = 8 * 1024;
 
 impl<'f> FoldTable<'f> {
-    pub fn new(pool: &MemPool, combine: CombineFn<'f>, mode: GroupingMode) -> Result<Self> {
-        let inner = match mode {
-            GroupingMode::Legacy => FoldInner::Legacy {
-                map: HashMap::default(),
-            },
-            GroupingMode::Arena => FoldInner::Arena {
-                index: Box::new(GroupIndex::new(pool)?),
-                vals: Vec::new(),
-            },
-        };
+    pub fn new(pool: &MemPool, combine: CombineFn<'f>) -> Result<Self> {
         Ok(Self {
-            inner,
+            index: GroupIndex::new(pool)?,
+            vals: Vec::new(),
             res: pool.try_reserve(0)?,
             acc_bytes: 0,
             reserved: 0,
@@ -95,34 +66,23 @@ impl<'f> FoldTable<'f> {
         })
     }
 
-    /// Inserts or merges one KV, hashing the key at most once (arena
-    /// mode; the legacy map hashes internally).
+    /// Inserts or merges one KV, hashing the key exactly once.
     pub fn fold(&mut self, key: &[u8], val: &[u8]) -> Result<()> {
-        if matches!(self.inner, FoldInner::Legacy { .. }) {
-            self.fold_legacy(key, val)
-        } else {
-            self.fold_hashed(fxhash64(key), key, val)
-        }
+        self.fold_hashed(fxhash64(key), key, val)
     }
 
-    /// [`Self::fold`] under a precomputed `hash` (`fxhash64(key)`); the
-    /// arena path reuses it for the table probe and stores it for the
-    /// flush.
+    /// [`Self::fold`] under a precomputed `hash` (`fxhash64(key)`),
+    /// reused for the table probe and stored for the flush.
     pub fn fold_hashed(&mut self, hash: u64, key: &[u8], val: &[u8]) -> Result<()> {
-        if matches!(self.inner, FoldInner::Legacy { .. }) {
-            return self.fold_legacy(key, val);
-        }
         let Self {
-            inner,
+            index,
+            vals,
             scratch,
             combine,
             acc_bytes,
             n_folded,
             ..
         } = self;
-        let FoldInner::Arena { index, vals } = inner else {
-            unreachable!("mode checked above");
-        };
         let (id, fresh) = index.insert_hashed(hash, key)?;
         if fresh {
             *acc_bytes += val.len() + ARENA_VAL_OVERHEAD;
@@ -140,29 +100,6 @@ impl<'f> FoldTable<'f> {
         self.resync()
     }
 
-    fn fold_legacy(&mut self, key: &[u8], val: &[u8]) -> Result<()> {
-        let FoldInner::Legacy { map } = &mut self.inner else {
-            unreachable!("legacy fold on arena table");
-        };
-        match map.get_mut(key) {
-            Some(acc) => {
-                self.scratch.clear();
-                (self.combine)(key, acc, val, &mut self.scratch);
-                let delta_new = self.scratch.len();
-                let delta_old = acc.len();
-                acc.clear();
-                acc.extend_from_slice(&self.scratch);
-                self.acc_bytes = self.acc_bytes + delta_new - delta_old;
-                self.n_folded += 1;
-            }
-            None => {
-                self.acc_bytes += key.len() + val.len() + TABLE_ENTRY_OVERHEAD;
-                map.insert(key.to_vec(), val.to_vec());
-            }
-        }
-        self.resync()
-    }
-
     fn resync(&mut self) -> Result<()> {
         if self.acc_bytes.abs_diff(self.reserved) > RESYNC_SLACK {
             self.res.resize(self.acc_bytes)?;
@@ -171,8 +108,8 @@ impl<'f> FoldTable<'f> {
         Ok(())
     }
 
-    /// Drains every entry into `out` and empties the table. Arena mode
-    /// emits in first-occurrence key order with each KV's stored hash
+    /// Drains every entry into `out` and empties the table. Entries leave
+    /// in first-occurrence key order with each KV's stored hash
     /// ([`Emitter::emit_hashed`]); `keep_capacity` retains the slot table
     /// for the next fill cycle (a streaming combiner's early flushes).
     pub fn drain_into(&mut self, out: &mut dyn Emitter, keep_capacity: bool) -> Result<()> {
@@ -183,23 +120,15 @@ impl<'f> FoldTable<'f> {
                 self.acc_bytes as u64,
             );
         }
-        match &mut self.inner {
-            FoldInner::Legacy { map } => {
-                for (k, v) in map.drain() {
-                    out.emit(&k, &v)?;
-                }
-            }
-            FoldInner::Arena { index, vals } => {
-                for (id, v) in vals.iter().enumerate() {
-                    out.emit_hashed(index.key(id as u32), v, index.hash_of(id as u32))?;
-                }
-                vals.clear();
-                if keep_capacity {
-                    index.clear()?;
-                } else {
-                    index.reset()?;
-                }
-            }
+        for (id, v) in self.vals.iter().enumerate() {
+            let id = id as u32;
+            out.emit_hashed(self.index.key(id), v, self.index.hash_of(id))?;
+        }
+        self.vals.clear();
+        if keep_capacity {
+            self.index.clear()?;
+        } else {
+            self.index.reset()?;
         }
         self.acc_bytes = 0;
         self.res.resize(0)?;
@@ -210,26 +139,14 @@ impl<'f> FoldTable<'f> {
     /// Visits entries without draining.
     #[cfg(test)]
     pub fn for_each(&self, mut f: impl FnMut(&[u8], &[u8]) -> Result<()>) -> Result<()> {
-        match &self.inner {
-            FoldInner::Legacy { map } => {
-                for (k, v) in map {
-                    f(k, v)?;
-                }
-            }
-            FoldInner::Arena { index, vals } => {
-                for (id, v) in vals.iter().enumerate() {
-                    f(index.key(id as u32), v)?;
-                }
-            }
+        for (id, v) in self.vals.iter().enumerate() {
+            f(self.index.key(id as u32), v)?;
         }
         Ok(())
     }
 
     pub fn len(&self) -> usize {
-        match &self.inner {
-            FoldInner::Legacy { map } => map.len(),
-            FoldInner::Arena { vals, .. } => vals.len(),
-        }
+        self.vals.len()
     }
 
     /// Estimated heap bytes the table occupies.
@@ -237,13 +154,9 @@ impl<'f> FoldTable<'f> {
         self.acc_bytes
     }
 
-    /// The grouping engine's counters (zero under legacy, which has no
-    /// instrumented table).
+    /// The grouping engine's counters.
     pub fn group_stats(&self) -> GroupStats {
-        match &self.inner {
-            FoldInner::Legacy { .. } => GroupStats::default(),
-            FoldInner::Arena { index, .. } => index.stats(),
-        }
+        self.index.stats()
     }
 
     #[cfg(test)]
@@ -261,16 +174,21 @@ pub struct CombinerTable<'f> {
 }
 
 impl<'f> CombinerTable<'f> {
-    /// Creates a compression table charging `pool`, with the default
-    /// grouping engine.
+    /// Creates a compression table charging `pool`.
     ///
     /// # Errors
     /// Memory exhaustion.
     pub fn new(pool: &MemPool, meta: KvMeta, combine: CombineFn<'f>) -> Result<Self> {
-        Self::with_mode(pool, meta, combine, GroupingMode::default())
+        Ok(Self {
+            table: FoldTable::new(pool, combine)?,
+            meta,
+            kvs_in: 0,
+        })
     }
 
-    /// [`Self::new`] with an explicit grouping engine.
+    /// [`Self::new`]. The `mode` argument has one possible value
+    /// ([`GroupingMode::Arena`]); it stays because the repository
+    /// benchmark passes it.
     ///
     /// # Errors
     /// Memory exhaustion.
@@ -278,13 +196,9 @@ impl<'f> CombinerTable<'f> {
         pool: &MemPool,
         meta: KvMeta,
         combine: CombineFn<'f>,
-        mode: GroupingMode,
+        _mode: GroupingMode,
     ) -> Result<Self> {
-        Ok(Self {
-            table: FoldTable::new(pool, combine, mode)?,
-            meta,
-            kvs_in: 0,
-        })
+        Self::new(pool, meta, combine)
     }
 
     /// Flushes the compressed KVs into the shuffle emitter (the delayed
@@ -385,8 +299,6 @@ mod tests {
     use super::*;
     use mimir_mem::MemPool;
 
-    const BOTH_MODES: [GroupingMode; 2] = [GroupingMode::Arena, GroupingMode::Legacy];
-
     fn sum_combine<'f>() -> CombineFn<'f> {
         Box::new(|_k, a, b, out| {
             let s = u64::from_le_bytes(a.try_into().unwrap())
@@ -406,38 +318,28 @@ mod tests {
 
     #[test]
     fn duplicate_keys_are_merged() {
-        for mode in BOTH_MODES {
-            let pool = MemPool::unlimited("t", 4096);
-            let mut c =
-                CombinerTable::with_mode(&pool, KvMeta::cstr_key_u64_val(), sum_combine(), mode)
-                    .unwrap();
-            for _ in 0..100 {
-                c.emit(b"dog", &1u64.to_le_bytes()).unwrap();
-                c.emit(b"cat", &2u64.to_le_bytes()).unwrap();
-            }
-            assert_eq!(c.unique_keys(), 2);
-            assert_eq!(c.kvs_in(), 200);
-            assert!((c.ratio() - 100.0).abs() < f64::EPSILON);
-
-            let mut out = VecEmitter(Vec::new());
-            c.flush_into(&mut out).unwrap();
-            let mut got = out.0;
-            got.sort();
-            assert_eq!(
-                got,
-                vec![(b"cat".to_vec(), 200), (b"dog".to_vec(), 100)],
-                "{mode:?}"
-            );
-            assert_eq!(c.unique_keys(), 0, "flush drains the table");
+        let pool = MemPool::unlimited("t", 4096);
+        let mut c = CombinerTable::new(&pool, KvMeta::cstr_key_u64_val(), sum_combine()).unwrap();
+        for _ in 0..100 {
+            c.emit(b"dog", &1u64.to_le_bytes()).unwrap();
+            c.emit(b"cat", &2u64.to_le_bytes()).unwrap();
         }
+        assert_eq!(c.unique_keys(), 2);
+        assert_eq!(c.kvs_in(), 200);
+        assert!((c.ratio() - 100.0).abs() < f64::EPSILON);
+
+        let mut out = VecEmitter(Vec::new());
+        c.flush_into(&mut out).unwrap();
+        let mut got = out.0;
+        got.sort();
+        assert_eq!(got, vec![(b"cat".to_vec(), 200), (b"dog".to_vec(), 100)]);
+        assert_eq!(c.unique_keys(), 0, "flush drains the table");
     }
 
     #[test]
     fn arena_flush_preserves_first_occurrence_order_and_hashes() {
         let pool = MemPool::unlimited("t", 4096);
-        let mut c =
-            CombinerTable::with_mode(&pool, KvMeta::var(), sum_combine(), GroupingMode::Arena)
-                .unwrap();
+        let mut c = CombinerTable::new(&pool, KvMeta::var(), sum_combine()).unwrap();
         for k in ["zeta", "alpha", "mid", "alpha", "zeta"] {
             c.emit(k.as_bytes(), &1u64.to_le_bytes()).unwrap();
         }
@@ -462,79 +364,69 @@ mod tests {
 
     #[test]
     fn table_memory_is_tracked_and_released() {
-        for mode in BOTH_MODES {
-            let pool = MemPool::new("t", 4096, 1 << 20).unwrap();
-            let mut c =
-                CombinerTable::with_mode(&pool, KvMeta::var(), sum_combine(), mode).unwrap();
-            for i in 0..2000u64 {
-                c.emit(format!("key-{i}").as_bytes(), &1u64.to_le_bytes())
-                    .unwrap();
-            }
-            assert!(
-                pool.used() > 2000 * ARENA_VAL_OVERHEAD / 2,
-                "{mode:?}: bucket charged: {}",
-                pool.used()
-            );
-            let mut out = VecEmitter(Vec::new());
-            c.flush_into(&mut out).unwrap();
-            assert!(
-                pool.used() < RESYNC_SLACK * 2,
-                "{mode:?}: bucket released: {}",
-                pool.used()
-            );
+        let pool = MemPool::new("t", 4096, 1 << 20).unwrap();
+        let mut c = CombinerTable::new(&pool, KvMeta::var(), sum_combine()).unwrap();
+        for i in 0..2000u64 {
+            c.emit(format!("key-{i}").as_bytes(), &1u64.to_le_bytes())
+                .unwrap();
         }
+        assert!(
+            pool.used() > 2000 * ARENA_VAL_OVERHEAD / 2,
+            "bucket charged: {}",
+            pool.used()
+        );
+        let mut out = VecEmitter(Vec::new());
+        c.flush_into(&mut out).unwrap();
+        assert!(
+            pool.used() < RESYNC_SLACK * 2,
+            "bucket released: {}",
+            pool.used()
+        );
     }
 
     #[test]
     fn table_oom_when_keys_do_not_compress() {
-        for mode in BOTH_MODES {
-            // The paper's caveat: with no duplicate keys the table only
-            // costs.
-            let pool = MemPool::new("t", 4096, 32 * 1024).unwrap();
-            let mut c =
-                CombinerTable::with_mode(&pool, KvMeta::var(), sum_combine(), mode).unwrap();
-            let mut res = Ok(());
-            for i in 0..100_000u64 {
-                res = c.emit(format!("unique-{i}").as_bytes(), &1u64.to_le_bytes());
-                if res.is_err() {
-                    break;
-                }
+        // The paper's caveat: with no duplicate keys the table only
+        // costs.
+        let pool = MemPool::new("t", 4096, 32 * 1024).unwrap();
+        let mut c = CombinerTable::new(&pool, KvMeta::var(), sum_combine()).unwrap();
+        let mut res = Ok(());
+        for i in 0..100_000u64 {
+            res = c.emit(format!("unique-{i}").as_bytes(), &1u64.to_le_bytes());
+            if res.is_err() {
+                break;
             }
-            assert!(res.unwrap_err().is_oom(), "{mode:?}");
         }
+        assert!(res.unwrap_err().is_oom());
     }
 
     #[test]
     fn variable_size_merged_values() {
-        for mode in BOTH_MODES {
-            // Combine = concatenate: exercises the size-change accounting.
-            let pool = MemPool::new("t", 4096, 1 << 20).unwrap();
-            let concat: CombineFn = Box::new(|_k, a, b, out| {
-                out.extend_from_slice(a);
-                out.extend_from_slice(b);
-            });
-            let mut t = FoldTable::new(&pool, concat, mode).unwrap();
-            for _ in 0..10 {
-                t.fold(b"k", b"xy").unwrap();
-            }
-            let mut seen = Vec::new();
-            t.for_each(|_k, v| {
-                seen = v.to_vec();
-                Ok(())
-            })
-            .unwrap();
-            assert_eq!(seen.len(), 20, "{mode:?}");
-            assert_eq!(t.n_folded(), 9);
+        // Combine = concatenate: exercises the size-change accounting.
+        let pool = MemPool::new("t", 4096, 1 << 20).unwrap();
+        let concat: CombineFn = Box::new(|_k, a, b, out| {
+            out.extend_from_slice(a);
+            out.extend_from_slice(b);
+        });
+        let mut t = FoldTable::new(&pool, concat).unwrap();
+        for _ in 0..10 {
+            t.fold(b"k", b"xy").unwrap();
         }
+        let mut seen = Vec::new();
+        t.for_each(|_k, v| {
+            seen = v.to_vec();
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(seen.len(), 20);
+        assert_eq!(t.n_folded(), 9);
     }
 
     #[test]
     fn streaming_flush_cycles_keep_the_slot_table_warm() {
         let pool = MemPool::unlimited("t", 4096);
         let mut out = VecEmitter(Vec::new());
-        let table =
-            CombinerTable::with_mode(&pool, KvMeta::var(), sum_combine(), GroupingMode::Arena)
-                .unwrap();
+        let table = CombinerTable::new(&pool, KvMeta::var(), sum_combine()).unwrap();
         let mut sc = StreamingCombiner::new(table, &mut out, 2 * 1024);
         for i in 0..3000u64 {
             sc.emit(format!("k{}", i % 200).as_bytes(), &1u64.to_le_bytes())

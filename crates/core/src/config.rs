@@ -81,10 +81,6 @@ impl Default for KvMeta {
 /// How the shuffle moves partitions through the transport.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ShuffleMode {
-    /// The original data path: each partition is copied into a fresh
-    /// `Vec` per round and received KVs are re-inserted one at a time.
-    /// Kept as the ablation baseline.
-    Legacy,
     /// Sends straight from send-buffer partition slices through pooled
     /// transport buffers, receives into the static receive buffer, and
     /// drains received runs with page-wise memcpy. Steady-state rounds
@@ -179,12 +175,13 @@ impl Default for AdaptPolicy {
 }
 
 /// How convert, the combiner, and partial reduction group keys.
+///
+/// There is one engine. The type and the APIs that take it
+/// ([`MimirConfig::grouping_mode`], [`crate::convert_with`],
+/// [`crate::CombinerTable::with_mode`], [`crate::PartialReducer::with_mode`])
+/// remain because the repository benchmark names them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum GroupingMode {
-    /// The original `HashMap<Vec<u8>, …>` path: one heap allocation and
-    /// a key copy per unique key, re-hash + re-lookup per KV in convert
-    /// pass 2. Kept as the ablation baseline.
-    Legacy,
     /// The [`crate::GroupIndex`] engine: open-addressing slot table,
     /// keys interned into pool-page arenas, each key hashed exactly once
     /// per KV, convert pass 2 streams by recorded group id.
@@ -201,7 +198,7 @@ pub struct MimirConfig {
     pub comm_buf_size: usize,
     /// Shuffle data-path variant (default [`ShuffleMode::ZeroCopy`]).
     pub shuffle_mode: ShuffleMode,
-    /// Grouping-engine variant (default [`GroupingMode::Arena`]).
+    /// Grouping engine; [`GroupingMode::Arena`] is the only one.
     pub grouping_mode: GroupingMode,
     /// Adaptive-shuffle policy, consulted only under
     /// [`ShuffleMode::Adaptive`].

@@ -11,8 +11,6 @@
 //! multiply's ~3 on current cores. The map consumes the *high* hash bits,
 //! which the Murmur3 finalizer fully avalanches.
 
-use std::hash::{BuildHasherDefault, Hasher};
-
 const SEED: u64 = 0x51_7C_C1_B7_27_22_0A_95;
 
 /// Fx-style hash of a byte string.
@@ -91,40 +89,6 @@ pub fn partition_of(key: &[u8], n_parts: usize) -> usize {
 pub fn partition_of_hashed(hash: u64, n_parts: usize) -> usize {
     fast_range(hash, n_parts)
 }
-
-/// A `std` hasher adapter so `HashMap`s in the legacy combiner/convert
-/// paths use the same fast function.
-///
-/// The first `write` takes `fxhash64` of the bytes directly — for the
-/// byte-string keys these maps hold, a single-`write` hash is exactly
-/// `fxhash64(key)`, one pass with no extra mixing. Later `write`s (e.g.
-/// the length prefix `Hash for [u8]` adds) fold in with one
-/// rotate-xor-multiply round.
-#[derive(Default)]
-pub struct FxHasher {
-    state: u64,
-    written: bool,
-}
-
-impl Hasher for FxHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        if self.written {
-            self.state = (self.state.rotate_left(5) ^ fxhash64(bytes)).wrapping_mul(SEED);
-        } else {
-            self.state = fxhash64(bytes);
-            self.written = true;
-        }
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.state
-    }
-}
-
-/// `BuildHasher` for [`FxHasher`].
-pub type FxBuild = BuildHasherDefault<FxHasher>;
 
 #[cfg(test)]
 mod tests {
@@ -252,37 +216,6 @@ mod tests {
         assert_eq!(fast_range(0, 17), 0);
         assert_eq!(fast_range(u64::MAX, 17), 16);
         assert_eq!(fast_range(u64::MAX, 1), 0);
-    }
-
-    #[test]
-    fn single_write_hasher_equals_fxhash64() {
-        // The one-pass pin: hashing a byte string through the adapter in a
-        // single `write` is exactly `fxhash64` — no double mixing.
-        for key in [
-            &b""[..],
-            b"a",
-            b"mimir",
-            b"supercalifragilisticexpialidocious",
-            &[0u8; 64],
-        ] {
-            let mut h = FxHasher::default();
-            h.write(key);
-            assert_eq!(h.finish(), fxhash64(key), "key {key:?}");
-        }
-    }
-
-    #[test]
-    fn multi_write_still_separates_boundaries() {
-        // ("ab","c") vs ("a","bc") must differ: the fold step sees
-        // per-write hashes, not raw concatenation.
-        let h2 = |a: &[u8], b: &[u8]| {
-            let mut h = FxHasher::default();
-            h.write(a);
-            h.write(b);
-            h.finish()
-        };
-        assert_ne!(h2(b"ab", b"c"), h2(b"a", b"bc"));
-        assert_ne!(h2(b"ab", b"c"), fxhash64(b"abc"));
     }
 
     #[test]

@@ -26,16 +26,14 @@ use mimir_obs::{EventKind, Phase};
 use crate::cache::{lock_cache, CheckedOut, SharedKvCache};
 use crate::combiner::{CombineFn, CombinerTable, StreamingCombiner};
 use crate::context::MimirContext;
-use crate::convert::convert_with;
+use crate::convert::convert_counted;
 use crate::group::GroupStats;
 use crate::kmvc::ValueIter;
 use crate::partial::PartialReducer;
 use crate::partitioner::{PartitionFingerprint, Partitioner};
 use crate::shuffle::{Emitter, ShuffleStats, Shuffler};
 use crate::sink::KvSink;
-use crate::{
-    AdaptPolicy, GroupingMode, JobStats, KvContainer, KvMeta, MimirError, Result, ShuffleMode,
-};
+use crate::{AdaptPolicy, JobStats, KvContainer, KvMeta, MimirError, Result, ShuffleMode};
 
 /// Pushes the pool's current occupancy into this rank's live telemetry
 /// accumulator (a no-op unless the plane is armed on this thread), so
@@ -56,7 +54,6 @@ pub struct MapReduceJob<'c, 'w> {
     partitioner: Partitioner,
     compress_flush_bytes: Option<usize>,
     shuffle_mode: Option<ShuffleMode>,
-    grouping_mode: Option<GroupingMode>,
     adapt_policy: Option<AdaptPolicy>,
     input_cached: Option<String>,
     output_cached: Option<String>,
@@ -136,7 +133,6 @@ impl<'c, 'w> MapReduceJob<'c, 'w> {
             partitioner: Partitioner::hash(),
             compress_flush_bytes: None,
             shuffle_mode: None,
-            grouping_mode: None,
             adapt_policy: None,
             input_cached: None,
             output_cached: None,
@@ -191,15 +187,6 @@ impl<'c, 'w> MapReduceJob<'c, 'w> {
         self
     }
 
-    /// Overrides the context's [`GroupingMode`] for this job (convert,
-    /// combiner, and partial-reduction grouping engine). Local to the
-    /// rank's data structures — not collective.
-    #[must_use]
-    pub fn grouping_mode(mut self, mode: GroupingMode) -> Self {
-        self.grouping_mode = Some(mode);
-        self
-    }
-
     /// Overrides the context's [`AdaptPolicy`] for this job (only
     /// consulted when the effective shuffle mode is
     /// [`ShuffleMode::Adaptive`]). Collective: every rank must choose the
@@ -209,18 +196,6 @@ impl<'c, 'w> MapReduceJob<'c, 'w> {
     pub fn adapt_policy(mut self, policy: AdaptPolicy) -> Self {
         self.adapt_policy = Some(policy);
         self
-    }
-
-    /// Opt-in communication/compute overlap: shorthand for
-    /// [`Self::shuffle_mode`] with [`ShuffleMode::Overlapped`] (or the
-    /// default zero-copy blocking path when `false`).
-    #[must_use]
-    pub fn comm_overlap(self, on: bool) -> Self {
-        self.shuffle_mode(if on {
-            ShuffleMode::Overlapped
-        } else {
-            ShuffleMode::ZeroCopy
-        })
     }
 
     /// Chains this job onto the named cached container from a previous
@@ -387,7 +362,6 @@ impl<'c, 'w> MapReduceJob<'c, 'w> {
             pool,
             self.kv_meta,
             self.compress_flush_bytes,
-            self.grouping_mode.unwrap_or(cfg.grouping_mode),
             &mut shuffler,
         )?;
         drop(map_span);
@@ -497,7 +471,6 @@ impl<'c, 'w> MapReduceJob<'c, 'w> {
             cache,
             ..
         } = &mut *self.ctx;
-        let gmode = self.grouping_mode.unwrap_or(cfg.grouping_mode);
         cancel_checkpoint(comm, cancel)?;
 
         // --- chained map + (elided) aggregate -------------------------
@@ -537,7 +510,7 @@ impl<'c, 'w> MapReduceJob<'c, 'w> {
         pool.reset_phase_peak();
         note_live_mem(pool);
         let convert_span = mimir_obs::phase_span(Phase::Convert);
-        let (kmvc, group) = convert_with(kvc, pool, gmode)?;
+        let (kmvc, group) = convert_counted(kvc, pool)?;
         drop(convert_span);
         let convert_time = t1.elapsed();
         let convert_peak_bytes = pool.phase_peak();
@@ -608,7 +581,6 @@ impl<'c, 'w> MapReduceJob<'c, 'w> {
             cache,
             ..
         } = &mut *self.ctx;
-        let gmode = self.grouping_mode.unwrap_or(cfg.grouping_mode);
         cancel_checkpoint(comm, cancel)?;
 
         let t0 = Instant::now();
@@ -618,7 +590,7 @@ impl<'c, 'w> MapReduceJob<'c, 'w> {
         let fingerprint = self.partitioner.fingerprint(comm.size());
         let input = lock_cache(cache).checkout(&in_name, pool)?;
         let elide = self.elide && input.fingerprint == fingerprint;
-        let sink = PartialReducer::with_mode(pool, kv_meta, combine, gmode)?;
+        let sink = PartialReducer::new(pool, kv_meta, combine)?;
         let fed = feed_chain(
             comm,
             pool,
@@ -692,7 +664,6 @@ impl<'c, 'w> MapReduceJob<'c, 'w> {
             cache,
             ..
         } = &mut *self.ctx;
-        let gmode = self.grouping_mode.unwrap_or(cfg.grouping_mode);
         cancel_checkpoint(comm, cancel)?;
 
         // --- map + implicit aggregate --------------------------------
@@ -721,7 +692,6 @@ impl<'c, 'w> MapReduceJob<'c, 'w> {
                     pool,
                     kv_meta,
                     self.compress_flush_bytes,
-                    gmode,
                     &mut shuffler,
                 )?;
             }
@@ -742,7 +712,7 @@ impl<'c, 'w> MapReduceJob<'c, 'w> {
         pool.reset_phase_peak();
         note_live_mem(pool);
         let convert_span = mimir_obs::phase_span(Phase::Convert);
-        let (kmvc, convert_group) = convert_with(kvc, pool, gmode)?;
+        let (kmvc, convert_group) = convert_counted(kvc, pool)?;
         group.merge(&convert_group);
         drop(convert_span);
         let convert_time = t1.elapsed();
@@ -808,14 +778,13 @@ impl<'c, 'w> MapReduceJob<'c, 'w> {
             cache,
             ..
         } = &mut *self.ctx;
-        let gmode = self.grouping_mode.unwrap_or(cfg.grouping_mode);
         cancel_checkpoint(comm, cancel)?;
 
         let t0 = Instant::now();
         pool.reset_phase_peak();
         note_live_mem(pool);
         let map_span = mimir_obs::phase_span(Phase::Map);
-        let sink = PartialReducer::with_mode(pool, kv_meta, combine, gmode)?;
+        let sink = PartialReducer::new(pool, kv_meta, combine)?;
         let mut shuffler = Shuffler::with_policy(
             comm,
             pool,
@@ -836,7 +805,6 @@ impl<'c, 'w> MapReduceJob<'c, 'w> {
                     pool,
                     kv_meta,
                     self.compress_flush_bytes,
-                    gmode,
                     &mut shuffler,
                 )?;
             }
@@ -1017,10 +985,9 @@ fn drive_compressed_map(
     pool: &mimir_mem::MemPool,
     meta: KvMeta,
     flush_bytes: Option<usize>,
-    gmode: GroupingMode,
     shuffler: &mut dyn Emitter,
 ) -> Result<GroupStats> {
-    let mut table = CombinerTable::with_mode(pool, meta, cf, gmode)?;
+    let mut table = CombinerTable::new(pool, meta, cf)?;
     match flush_bytes {
         None => {
             map(&mut table)?;

@@ -30,10 +30,16 @@ impl<'f> PartialReducer<'f> {
     /// # Errors
     /// Memory exhaustion.
     pub fn new(pool: &MemPool, meta: KvMeta, combine: CombineFn<'f>) -> Result<Self> {
-        Self::with_mode(pool, meta, combine, GroupingMode::default())
+        Ok(Self {
+            table: FoldTable::new(pool, combine)?,
+            meta,
+            kvs_in: 0,
+        })
     }
 
-    /// [`Self::new`] with an explicit grouping engine.
+    /// [`Self::new`]. The `mode` argument has one possible value
+    /// ([`GroupingMode::Arena`]); it stays because the repository
+    /// benchmark passes it.
     ///
     /// # Errors
     /// Memory exhaustion.
@@ -41,13 +47,9 @@ impl<'f> PartialReducer<'f> {
         pool: &MemPool,
         meta: KvMeta,
         combine: CombineFn<'f>,
-        mode: GroupingMode,
+        _mode: GroupingMode,
     ) -> Result<Self> {
-        Ok(Self {
-            table: FoldTable::new(pool, combine, mode)?,
-            meta,
-            kvs_in: 0,
-        })
+        Self::new(pool, meta, combine)
     }
 
     /// Unique keys currently held.

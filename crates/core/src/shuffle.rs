@@ -38,8 +38,7 @@
 //! the sink via [`KvSink::accept_run`] — for a [`crate::KvContainer`]
 //! sink that is a page-wise memcpy, since wire format equals container
 //! format. After a warm-up round the steady state performs no heap
-//! allocation. [`ShuffleMode::Legacy`] keeps the original
-//! allocate-per-round path as the ablation baseline.
+//! allocation.
 
 use std::ops::Range;
 
@@ -52,7 +51,7 @@ use crate::adapt::{
     FRAME_HDR,
 };
 use crate::buffer::TrackedBuf;
-use crate::kv::{decode_one, encode_into, encoded_len, validate, KvDecoder};
+use crate::kv::{decode_one, encode_into, encoded_len, validate};
 use crate::partitioner::Partitioner;
 use crate::sink::KvSink;
 use crate::{AdaptPolicy, KvMeta, MimirError, Result, ShuffleMode};
@@ -567,18 +566,15 @@ impl<'a, S: KvSink> Shuffler<'a, S> {
             }
         }
         let (sync0, data0) = (self.stats.sync_wait_ns, self.stats.data_wait_ns);
-        let all_done = match self.mode {
-            ShuffleMode::Legacy => self.exchange_legacy(my_done)?,
-            ShuffleMode::ZeroCopy => self.exchange_zero_copy(my_done, false)?,
-            ShuffleMode::Overlapped => self.exchange_zero_copy(my_done, true)?,
-            ShuffleMode::Adaptive => {
-                // The posting order the controller converged on *before*
-                // this round; mid-round ballot decisions apply from the
-                // next round, uniformly on every rank.
-                let overlap = self.adapt.as_ref().is_some_and(AdaptController::overlap);
-                self.exchange_zero_copy(my_done, overlap)?
-            }
+        let overlap = match self.mode {
+            ShuffleMode::ZeroCopy => false,
+            ShuffleMode::Overlapped => true,
+            // The posting order the controller converged on *before*
+            // this round; mid-round ballot decisions apply from the next
+            // round, uniformly on every rank.
+            ShuffleMode::Adaptive => self.adapt.as_ref().is_some_and(AdaptController::overlap),
         };
+        let all_done = self.exchange_zero_copy(my_done, overlap)?;
         let (sync_delta, data_delta) = (
             self.stats.sync_wait_ns - sync0,
             self.stats.data_wait_ns - data0,
@@ -768,51 +764,6 @@ impl<'a, S: KvSink> Shuffler<'a, S> {
             }
             self.stats.kvs_received += received;
             drain.set_b(recv_bytes);
-        }
-        Ok(all_done)
-    }
-
-    /// The original data path (ablation baseline): every partition is
-    /// copied into a fresh `Vec`, the transport returns owned buffers,
-    /// and received KVs re-insert one at a time.
-    fn exchange_legacy(&mut self, my_done: bool) -> Result<bool> {
-        let all_done = {
-            let _sync = mimir_obs::step_span(Step::Sync);
-            let w0 = self.comm.stats().wait_ns;
-            let done = self.comm.allreduce_u64(ReduceOp::LAnd, u64::from(my_done)) == 1;
-            self.stats.sync_wait_ns += self.comm.stats().wait_ns - w0;
-            done
-        };
-        let p = self.comm.size();
-        let send = self.send.as_slice();
-        let parts: Vec<Vec<u8>> = (0..p)
-            .map(|d| send[d * self.part_cap..d * self.part_cap + self.part_len[d]].to_vec())
-            .collect();
-        let received = {
-            let mut step = mimir_obs::step_span(Step::Alltoallv);
-            step.set_b(self.part_len.iter().map(|&l| l as u64).sum());
-            let w0 = self.comm.stats().wait_ns;
-            let bufs = self.comm.alltoallv(parts);
-            self.stats.data_wait_ns += self.comm.stats().wait_ns - w0;
-            bufs
-        };
-        self.part_len.fill(0);
-        let recv_bytes: u64 = received.iter().map(|b| b.len() as u64).sum();
-        assert!(
-            recv_bytes <= self.recv.as_slice().len() as u64,
-            "round received {recv_bytes} B into a {} B receive buffer",
-            self.recv.as_slice().len()
-        );
-        self.stats.bytes_received += recv_bytes;
-        self.stats.max_round_recv_bytes = self.stats.max_round_recv_bytes.max(recv_bytes);
-        {
-            let _drain = mimir_obs::step_span(Step::Drain);
-            for buf in received {
-                for (k, v) in KvDecoder::new(self.meta, &buf) {
-                    self.sink.accept(k, v)?;
-                    self.stats.kvs_received += 1;
-                }
-            }
         }
         Ok(all_done)
     }
@@ -1252,7 +1203,6 @@ mod tests {
         let per_rank = 300;
         let mut per_mode = Vec::new();
         for mode in [
-            ShuffleMode::Legacy,
             ShuffleMode::ZeroCopy,
             ShuffleMode::Overlapped,
             ShuffleMode::Adaptive,
@@ -1272,7 +1222,7 @@ mod tests {
         }
         let (_, reference) = &per_mode[0];
         for (mode, flat) in &per_mode[1..] {
-            assert_eq!(flat, reference, "{mode:?} differs from Legacy");
+            assert_eq!(flat, reference, "{mode:?} differs from ZeroCopy");
         }
     }
 

@@ -16,8 +16,7 @@ pub struct JobStats {
     /// Shuffle counters (emitted KVs/bytes, rounds).
     pub shuffle: ShuffleStats,
     /// Grouping-engine counters (convert index, combiner, or partial-
-    /// reduction fold table). Under [`crate::GroupingMode::Legacy`] only
-    /// convert's `groups` is counted; every other field stays zero.
+    /// reduction fold table).
     pub group: GroupStats,
     /// Unique keys after grouping (KMV groups or fold-table entries).
     pub unique_keys: u64,

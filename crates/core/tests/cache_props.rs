@@ -1,13 +1,11 @@
 //! Cross-job cache properties: a chained (cached, shuffle-elided) run
 //! must be byte-identical per rank to the cold path that round-trips the
-//! same data through a real shuffle — across every shuffle × grouping
-//! mode — and the chain must degrade honestly: a mid-chain partitioner
+//! same data through a real shuffle — across every shuffle mode — and
+//! the chain must degrade honestly: a mid-chain partitioner
 //! change forces a real shuffle, and an evicted entry reloads from spill
 //! transparently.
 
-use mimir_core::{
-    typed, GroupingMode, KvMeta, MimirConfig, MimirContext, Partitioner, ShuffleMode,
-};
+use mimir_core::{typed, KvMeta, MimirConfig, MimirContext, Partitioner, ShuffleMode};
 use mimir_io::IoModel;
 use mimir_mem::MemPool;
 use mimir_mpi::run_world;
@@ -70,7 +68,6 @@ fn chain_step(
     ctx: &mut MimirContext<'_>,
     part: &Partitioner,
     smode: ShuffleMode,
-    gmode: GroupingMode,
     in_name: &str,
     elide: bool,
 ) -> mimir_core::KvContainer {
@@ -79,7 +76,6 @@ fn chain_step(
         .out_meta(KvMeta::fixed(8, 8))
         .partitioner(part.clone())
         .shuffle_mode(smode)
-        .grouping_mode(gmode)
         .input_cached(in_name)
         .shuffle_elision(elide)
         .chain_reduce(
@@ -99,7 +95,6 @@ fn cold_step(
     ctx: &mut MimirContext<'_>,
     part: &Partitioner,
     smode: ShuffleMode,
-    gmode: GroupingMode,
     input: &[(Vec<u8>, Vec<u8>)],
 ) -> mimir_core::KvContainer {
     ctx.job()
@@ -107,7 +102,6 @@ fn cold_step(
         .out_meta(KvMeta::fixed(8, 8))
         .partitioner(part.clone())
         .shuffle_mode(smode)
-        .grouping_mode(gmode)
         .map_reduce(
             &mut |em| {
                 for (k, v) in input {
@@ -124,42 +118,36 @@ fn cold_step(
         .output
 }
 
-/// The headline property: for every shuffle mode × grouping mode, the
+/// The headline property: for every shuffle mode, the
 /// elided chain produces per-rank output byte-identical to the cold
 /// path, and the shuffle really was elided (one elision per rank, zero
 /// KVs through the exchange).
 #[test]
 fn elided_chain_matches_cold_path_across_modes() {
     for smode in [
-        ShuffleMode::Legacy,
         ShuffleMode::ZeroCopy,
         ShuffleMode::Overlapped,
         ShuffleMode::Adaptive,
     ] {
-        for gmode in [GroupingMode::Legacy, GroupingMode::Arena] {
-            let results = ctx_world(move |ctx| {
-                let part = Partitioner::hash();
-                // Cold reference: materialize the seed, then run the
-                // transform through a real shuffle.
-                let cold_in = canonical(seed(ctx, &part, None));
-                let cold = canonical(cold_step(ctx, &part, smode, gmode, &cold_in));
-                // Chained: same seed cached, transform consumes it in
-                // place with the shuffle elided.
-                seed(ctx, &part, Some("props"));
-                let chained = canonical(chain_step(ctx, &part, smode, gmode, "props", true));
-                let stats = ctx.cache_stats();
-                ctx.cache_clear();
-                (cold, chained, stats)
-            });
-            for (rank, (cold, chained, stats)) in results.into_iter().enumerate() {
-                assert_eq!(
-                    chained, cold,
-                    "rank {rank} diverged under {smode:?}/{gmode:?}"
-                );
-                assert!(!cold.is_empty(), "rank {rank} held no keys");
-                assert_eq!(stats.elisions, 1, "rank {rank} {smode:?}/{gmode:?}");
-                assert_eq!(stats.hits, 1, "rank {rank} checkout counts as a hit");
-            }
+        let results = ctx_world(move |ctx| {
+            let part = Partitioner::hash();
+            // Cold reference: materialize the seed, then run the
+            // transform through a real shuffle.
+            let cold_in = canonical(seed(ctx, &part, None));
+            let cold = canonical(cold_step(ctx, &part, smode, &cold_in));
+            // Chained: same seed cached, transform consumes it in
+            // place with the shuffle elided.
+            seed(ctx, &part, Some("props"));
+            let chained = canonical(chain_step(ctx, &part, smode, "props", true));
+            let stats = ctx.cache_stats();
+            ctx.cache_clear();
+            (cold, chained, stats)
+        });
+        for (rank, (cold, chained, stats)) in results.into_iter().enumerate() {
+            assert_eq!(chained, cold, "rank {rank} diverged under {smode:?}");
+            assert!(!cold.is_empty(), "rank {rank} held no keys");
+            assert_eq!(stats.elisions, 1, "rank {rank} {smode:?}");
+            assert_eq!(stats.hits, 1, "rank {rank} checkout counts as a hit");
         }
     }
 }
@@ -174,19 +162,12 @@ fn partitioner_change_forces_a_real_shuffle() {
         let hash = Partitioner::hash();
         let block = Partitioner::u64_block(KEYS);
         let cold_in = canonical(seed(ctx, &hash, None));
-        let cold = canonical(cold_step(
-            ctx,
-            &block,
-            ShuffleMode::ZeroCopy,
-            GroupingMode::Arena,
-            &cold_in,
-        ));
+        let cold = canonical(cold_step(ctx, &block, ShuffleMode::ZeroCopy, &cold_in));
         seed(ctx, &hash, Some("reparted"));
         let chained = canonical(chain_step(
             ctx,
             &block,
             ShuffleMode::ZeroCopy,
-            GroupingMode::Arena,
             "reparted",
             true, // requested, but the fingerprint mismatch must win
         ));
@@ -209,14 +190,7 @@ fn evicted_entry_reloads_transparently() {
     let results = ctx_world(|ctx| {
         let part = Partitioner::hash();
         seed(ctx, &part, Some("hot"));
-        let hot = canonical(chain_step(
-            ctx,
-            &part,
-            ShuffleMode::ZeroCopy,
-            GroupingMode::Arena,
-            "hot",
-            true,
-        ));
+        let hot = canonical(chain_step(ctx, &part, ShuffleMode::ZeroCopy, "hot", true));
         ctx.cache_clear();
 
         seed(ctx, &part, Some("pressured"));
@@ -226,7 +200,6 @@ fn evicted_entry_reloads_transparently() {
             ctx,
             &part,
             ShuffleMode::ZeroCopy,
-            GroupingMode::Arena,
             "pressured",
             true,
         ));

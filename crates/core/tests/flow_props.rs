@@ -12,14 +12,18 @@ use mimir_mem::MemPool;
 use mimir_mpi::run_world;
 use mimir_obs::{unpack_rank_bytes, Event, EventKind, Recorder, FLOW_SEQ_BITS};
 
-const RANKS: usize = 4;
-
-/// Runs a heavy-ish shuffle with per-rank recorders of `ring_cap`
-/// events and returns `(rank, events, dropped)` per rank — the gathered
-/// view a doctor ingestion would see.
-fn traced_shuffle(ring_cap: usize) -> Vec<(usize, Vec<Event>, u64)> {
+/// Runs a heavy-ish shuffle of `n_kvs` 16-byte KVs per rank through a
+/// `comm_buf`-byte send buffer, with per-rank recorders of `ring_cap`
+/// events, and returns `(rank, events, dropped)` per rank — the
+/// gathered view a doctor ingestion would see.
+fn traced_shuffle(
+    ranks: usize,
+    n_kvs: u64,
+    comm_buf: usize,
+    ring_cap: usize,
+) -> Vec<(usize, Vec<Event>, u64)> {
     let epoch = Instant::now();
-    run_world(RANKS, move |comm| {
+    run_world(ranks, move |comm| {
         let mut rec = Recorder::with_epoch(comm.rank(), ring_cap, epoch);
         rec.set_flow_enabled(true);
         mimir_obs::install(rec);
@@ -30,14 +34,14 @@ fn traced_shuffle(ring_cap: usize) -> Vec<(usize, Vec<Event>, u64)> {
             comm,
             &pool,
             meta,
-            2048,
+            comm_buf,
             sink,
             Partitioner::hash(),
             ShuffleMode::ZeroCopy,
         )
         .unwrap();
         let me = sh.rank() as u64;
-        for i in 0..1500u64 {
+        for i in 0..n_kvs {
             sh.emit(&(me * 100_000 + i).to_le_bytes(), &i.to_le_bytes())
                 .unwrap();
         }
@@ -80,12 +84,19 @@ fn split_flows(world: &[(usize, Vec<Event>, u64)]) -> (SendIndex, Vec<(u64, Flow
 
 #[test]
 fn every_recv_pairs_with_exactly_one_send() {
-    let world = traced_shuffle(512 * 1024);
+    // 33 and 64 ranks put sender ranks past bit 5 of the flow id's and
+    // the packed `(rank, bytes)` argument's rank field.
+    for (ranks, n_kvs, comm_buf) in [(4, 1500, 2048), (33, 200, 64 * 33), (64, 120, 64 * 64)] {
+        check_flow_pairing(&traced_shuffle(ranks, n_kvs, comm_buf, 64 * 1024));
+    }
+}
+
+fn check_flow_pairing(world: &[(usize, Vec<Event>, u64)]) {
     assert!(
         world.iter().all(|(_, _, dropped)| *dropped == 0),
         "ring sized to keep the full run"
     );
-    let (sends, recvs) = split_flows(&world);
+    let (sends, recvs) = split_flows(world);
     assert!(!recvs.is_empty(), "the shuffle produced cross-rank flows");
     // Flow ids are globally unique: no id was allocated twice.
     for (id, halves) in &sends {
@@ -124,7 +135,7 @@ fn ring_overflow_drops_are_detectable_not_mispaired() {
     // A 64-event ring is far too small for the run: most halves get
     // overwritten. Integrity must degrade to *missing* halves (flagged
     // by the dropped counter), never to a wrong pairing.
-    let world = traced_shuffle(64);
+    let world = traced_shuffle(4, 1500, 2048, 64);
     assert!(
         world.iter().any(|(_, _, dropped)| *dropped > 0),
         "the tiny ring must have overwritten events"

@@ -175,9 +175,25 @@ fn forced_full_hash_collisions_stay_distinct_groups() {
     );
 }
 
-/// Convert must produce identical KMV output — same groups, same
-/// first-occurrence order, same per-group value sequences — under both
-/// grouping engines, for every length-hint encoding.
+/// The reference group-by for convert: std's (SipHash) map remembers
+/// each key's first-occurrence position, and values append in stream
+/// order. Shares nothing with the engine under test.
+fn reference_groups(kvs: &[(Vec<u8>, Vec<u8>)]) -> Vec<(Vec<u8>, Vec<Vec<u8>>)> {
+    let mut pos: HashMap<&[u8], usize> = HashMap::new();
+    let mut out: Vec<(Vec<u8>, Vec<Vec<u8>>)> = Vec::new();
+    for (k, v) in kvs {
+        let i = *pos.entry(k).or_insert_with(|| {
+            out.push((k.clone(), Vec::new()));
+            out.len() - 1
+        });
+        out[i].1.push(v.clone());
+    }
+    out
+}
+
+/// Convert must produce the reference KMV output — same groups, same
+/// first-occurrence order, same per-group value sequences — for every
+/// length-hint encoding.
 #[test]
 fn convert_modes_agree_across_hints() {
     let cases: Vec<(KvMeta, bool)> = vec![
@@ -187,29 +203,24 @@ fn convert_modes_agree_across_hints() {
     ];
     for (case, (meta, allow_empty)) in cases.into_iter().enumerate() {
         let pool = MemPool::unlimited("t", 256);
-        // One shared workload per hint, fed identically to both modes.
         let mut rng = Rng(0xC0FF_EE00 + case as u64);
         let kvs: Vec<(Vec<u8>, Vec<u8>)> = (0..5000u64)
             .map(|i| case_kv(allow_empty, &mut rng, i))
             .collect();
-        let build = |mode| {
-            let mut kvc = KvContainer::new(&pool, meta);
-            for (k, v) in &kvs {
-                kvc.push(k, v).unwrap();
-            }
-            let (kmvc, _) = convert_with(kvc, &pool, mode).unwrap();
-            let mut flat: Vec<(Vec<u8>, Vec<Vec<u8>>)> = Vec::new();
-            kmvc.for_each_group(|k, vals| {
-                flat.push((k.to_vec(), vals.map(<[u8]>::to_vec).collect()));
-                Ok(())
-            })
-            .unwrap();
-            flat
-        };
-        let arena = build(GroupingMode::Arena);
-        let legacy = build(GroupingMode::Legacy);
-        assert_eq!(arena, legacy, "hint case {case}");
-        assert!(!arena.is_empty());
+        let reference = reference_groups(&kvs);
+        assert!(!reference.is_empty());
+        let mut kvc = KvContainer::new(&pool, meta);
+        for (k, v) in &kvs {
+            kvc.push(k, v).unwrap();
+        }
+        let (kmvc, _) = convert_with(kvc, &pool, GroupingMode::Arena).unwrap();
+        let mut flat: Vec<(Vec<u8>, Vec<Vec<u8>>)> = Vec::new();
+        kmvc.for_each_group(|k, vals| {
+            flat.push((k.to_vec(), vals.map(<[u8]>::to_vec).collect()));
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(flat, reference, "hint case {case}");
     }
 }
 

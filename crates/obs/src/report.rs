@@ -175,9 +175,7 @@ crate::counters! {
     /// Grouping-engine counters: the arena-keyed group index behind
     /// convert, the combiner, and partial reduction (`mimir-core` counts
     /// into this type as `GroupStats`). Cumulative across index clears,
-    /// so a streaming combiner's repeated flushes accumulate. Under the
-    /// legacy `HashMap` engine only convert's `groups` is counted; every
-    /// other field stays zero.
+    /// so a streaming combiner's repeated flushes accumulate.
     #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
     pub struct GroupCounters {
         /// Keys routed through the index (one per KV); always the sum of

@@ -1,7 +1,6 @@
 //! Communicator-isolation property: two jobs running *concurrently* on
 //! their own duplicated communicators must deliver exactly what each
-//! would deliver running *alone* — across every shuffle and grouping
-//! mode. If the duplicated channel matrices leaked into each other
+//! would deliver running *alone* — across every shuffle mode. If the duplicated channel matrices leaked into each other
 //! (a misrouted send, a cross-matched collective), the interleaved
 //! shuffles would corrupt both outputs.
 //!
@@ -11,7 +10,7 @@
 //! changes above the `Comm` API.
 
 use mimir_apps::wordcount::{wordcount_mimir, WcOptions};
-use mimir_core::{GroupingMode, MimirConfig, MimirContext, ShuffleMode};
+use mimir_core::{MimirConfig, MimirContext, ShuffleMode};
 use mimir_datagen::UniformWords;
 use mimir_io::IoModel;
 use mimir_mem::MemPool;
@@ -86,10 +85,9 @@ fn multiset(outputs: &[Vec<u8>]) -> Vec<Vec<u8>> {
     all
 }
 
-fn check_mode(shuffle_mode: ShuffleMode, grouping_mode: GroupingMode) {
+fn check_mode(shuffle_mode: ShuffleMode) {
     let cfg = MimirConfig {
         shuffle_mode,
-        grouping_mode,
         ..MimirConfig::default()
     };
     let solo_a = solo_outputs(cfg, 1);
@@ -99,48 +97,28 @@ fn check_mode(shuffle_mode: ShuffleMode, grouping_mode: GroupingMode) {
     assert_eq!(
         multiset(&conc_a),
         multiset(&solo_a),
-        "job A's multiset changed under concurrency ({shuffle_mode:?}/{grouping_mode:?})"
+        "job A's multiset changed under concurrency ({shuffle_mode:?})"
     );
     assert_eq!(
         multiset(&conc_b),
         multiset(&solo_b),
-        "job B's multiset changed under concurrency ({shuffle_mode:?}/{grouping_mode:?})"
+        "job B's multiset changed under concurrency ({shuffle_mode:?})"
     );
 }
 
 #[test]
-fn concurrent_jobs_match_solo_legacy_legacy() {
-    check_mode(ShuffleMode::Legacy, GroupingMode::Legacy);
-}
-
-#[test]
-fn concurrent_jobs_match_solo_legacy_arena() {
-    check_mode(ShuffleMode::Legacy, GroupingMode::Arena);
-}
-
-#[test]
-fn concurrent_jobs_match_solo_zerocopy_legacy() {
-    check_mode(ShuffleMode::ZeroCopy, GroupingMode::Legacy);
-}
-
-#[test]
 fn concurrent_jobs_match_solo_zerocopy_arena() {
-    check_mode(ShuffleMode::ZeroCopy, GroupingMode::Arena);
-}
-
-#[test]
-fn concurrent_jobs_match_solo_overlapped_legacy() {
-    check_mode(ShuffleMode::Overlapped, GroupingMode::Legacy);
+    check_mode(ShuffleMode::ZeroCopy);
 }
 
 #[test]
 fn concurrent_jobs_match_solo_overlapped_arena() {
-    check_mode(ShuffleMode::Overlapped, GroupingMode::Arena);
+    check_mode(ShuffleMode::Overlapped);
 }
 
 #[test]
 fn concurrent_jobs_match_solo_adaptive_arena() {
-    check_mode(ShuffleMode::Adaptive, GroupingMode::Arena);
+    check_mode(ShuffleMode::Adaptive);
 }
 
 /// The per-job adaptive override: `JobSpec::adaptive` flips just that
